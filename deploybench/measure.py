@@ -4,7 +4,7 @@
 process high-water mark — belongs to that workload alone::
 
     python3 -m deploybench.measure '{"workload": "fig3a-cpvf", "seed": 1,
-                                     "seconds": 15, "trace": false}'
+                                     "seconds": 16, "trace": false}'
 
 The child prints one JSON object as its last line of output.  Untraced
 (``trace`` false) it reports the end-to-end metrics:
@@ -13,7 +13,7 @@ The child prints one JSON object as its last line of output.  Untraced
    ``initialize``, timed as separate public calls, median of several;
 2. a tiny-scale run of the same workload warms the process;
 3. ``run_s``: whole ``execute_run`` calls, closed loop, one at a time,
-   until ``seconds`` is spent (at least :data:`MIN_RUNS`), median;
+   while the next one fits in ``seconds`` (at least one), median;
 4. every run's output is checked (:func:`check_record`).
 
 Traced, it times one untraced run and one traced run of the workload and
@@ -41,7 +41,7 @@ from deploybench.trace import ROOT_SPAN, Tracer, layer_hooks, per_layer_metrics
 from deploybench.workloads import WORKLOADS, Workload
 
 __all__ = [
-    "MIN_RUNS",
+    "CHECK_RUNS",
     "check_only",
     "check_record",
     "comparable",
@@ -50,9 +50,11 @@ __all__ = [
     "time_setup",
 ]
 
-#: Timed runs per measurement at least: the determinism check needs a
-#: repetition to compare with the first.
-MIN_RUNS = 2
+#: Runs per held-out-seed check: the determinism check needs a
+#: repetition to compare with the first.  A timed measurement repeats only
+#: while the budget allows, so the heavy workloads run once there; their
+#: repetition is checked by the traced run and the held-out mode.
+CHECK_RUNS = 2
 #: Set-up repetitions: at least this many, more while they are cheap.
 MIN_SETUPS = 3
 MAX_SETUPS = 25
@@ -209,7 +211,7 @@ def measure(
             _, elapsed = runs.run()
             times.append(elapsed)
             spent = time.perf_counter() - started
-            if len(times) >= MIN_RUNS and spent + statistics.median(times) > seconds:
+            if spent + statistics.median(times) > seconds:
                 break
         metrics: Dict[str, float] = {
             "run_s": statistics.median(times),
@@ -256,7 +258,7 @@ def check_only(name: str, seed: int, tiny: bool = False) -> Dict[str, Any]:
     (the held-out-seed mode)."""
     wl = WORKLOADS[name]
     runs = _Runs(wl, wl.build(seed, tiny))
-    for _ in range(MIN_RUNS):
+    for _ in range(CHECK_RUNS):
         runs.run()
     return runs.result({}, {"workload": name, "seed": seed})
 

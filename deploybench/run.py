@@ -2,7 +2,7 @@
 
 Run from the repository root::
 
-    python3 deploybench/run.py --workload fig3a-cpvf --seed 1 --seconds 15 --trace 0
+    python3 deploybench/run.py --workload fig3a-cpvf --seed 1 --seconds 16 --trace 0
     python3 deploybench/run.py --held-out-seed 1001     # every workload
 
 Each workload is measured in its own child process
@@ -118,7 +118,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument("--seed", type=int, default=1, help="scenario seed")
     parser.add_argument(
-        "--seconds", type=float, default=15.0,
+        "--seconds", type=float, default=16.0,
         help="time budget for the timed runs of each workload",
     )
     parser.add_argument(
