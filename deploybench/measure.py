@@ -4,7 +4,7 @@
 process high-water mark — belongs to that workload alone::
 
     python3 -m deploybench.measure '{"workload": "fig3a-cpvf", "seed": 1,
-                                     "seconds": 16, "trace": false}'
+                                     "seconds": 24, "trace": false}'
 
 The child prints one JSON object as its last line of output.  Untraced
 (``trace`` false) it reports the end-to-end metrics:
@@ -51,14 +51,13 @@ __all__ = [
 ]
 
 #: Runs per held-out-seed check: the determinism check needs a
-#: repetition to compare with the first.  A timed measurement repeats only
-#: while the budget allows, so the heavy workloads run once there; their
-#: repetition is checked by the traced run and the held-out mode.
+#: repetition to compare with the first.  A timed measurement repeats
+#: while the budget allows, so it checks its own repetitions too.
 CHECK_RUNS = 2
 #: Set-up repetitions: at least this many, more while they are cheap.
-MIN_SETUPS = 3
+MIN_SETUPS = 5
 MAX_SETUPS = 25
-SETUP_BUDGET_S = 1.0
+SETUP_BUDGET_S = 2.0
 
 #: Where the traced run writes its spans.
 OUT_DIR = Path(__file__).resolve().parent / "out"
@@ -219,7 +218,10 @@ def measure(
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
             / 1024.0,
         }
-        info.update(run_samples=len(times), setup_samples=len(setups))
+        info.update(
+            run_samples=len(times), run_range_s=[min(times), max(times)],
+            setup_samples=len(setups),
+        )
     else:
         _warm_up(wl, seed)
         _, untraced_s = runs.run()

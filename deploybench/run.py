@@ -2,7 +2,7 @@
 
 Run from the repository root::
 
-    python3 deploybench/run.py --workload fig3a-cpvf --seed 1 --seconds 16 --trace 0
+    python3 deploybench/run.py --workload fig3a-cpvf --seed 1 --seconds 24 --trace 0
     python3 deploybench/run.py --held-out-seed 1001     # every workload
 
 Each workload is measured in its own child process
@@ -45,10 +45,10 @@ def _child_env() -> Dict[str, str]:
     if env.get("PYTHONPATH"):
         paths.append(env["PYTHONPATH"])
     env["PYTHONPATH"] = os.pathsep.join(paths)
-    # numpy's BLAS pools: no more threads than CPUs this process may use.
-    threads = str(len(os.sched_getaffinity(0)))
+    # numpy's BLAS pools: one thread, so an idle pool thread spinning on a
+    # shared CPU adds no noise (the runs are single-threaded anyway).
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = threads
+        env[var] = "1"
     env["PYTHONHASHSEED"] = "0"
     return env
 
@@ -89,7 +89,8 @@ def _report(name: str, seed: int, result: Dict[str, Any], units) -> None:
     samples = ""
     if "run_samples" in info:
         samples = (
-            f"  (medians: run_s n={info['run_samples']}, "
+            f"  (medians: run_s n={info['run_samples']} "
+            f"in {info['run_range_s'][0]:.3f}-{info['run_range_s'][1]:.3f} s, "
             f"setup_s n={info['setup_samples']})"
         )
     print(f"== {name}  seed={seed}{samples}")
@@ -118,7 +119,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument("--seed", type=int, default=1, help="scenario seed")
     parser.add_argument(
-        "--seconds", type=float, default=16.0,
+        "--seconds", type=float, default=24.0,
         help="time budget for the timed runs of each workload",
     )
     parser.add_argument(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
 
 from repro.api import NetworkSpec, RunSpec, ScenarioSpec
-from repro.experiments.common import ExperimentScale, FULL_SCALE
+from repro.experiments.common import ExperimentScale
 from repro.experiments.lifecycle import lifecycle_events
 
 __all__ = ["END_TO_END", "Workload", "WORKLOADS"]
@@ -35,6 +35,9 @@ END_TO_END: Tuple[Tuple[str, str], ...] = (
 _TINY_SCALE = ExperimentScale(
     field_size=300.0, sensor_count=24, duration=80.0, coverage_resolution=15.0
 )
+#: Scale of the full churn run: Fig 3(a)'s setting over a third of its
+#: horizon, so one timed measurement holds several runs.
+_CHURN_SCALE = ExperimentScale(duration=250.0)
 
 
 @dataclass(frozen=True)
@@ -68,7 +71,9 @@ def _floor_obstacles(seed: int, tiny: bool) -> RunSpec:
         field_size=300.0 if tiny else 500.0,
         layout="two-obstacle",
         sensor_count=24 if tiny else 120,
-        duration=40.0 if tiny else 200.0,
+        # 60 periods: ~120 relocations and ~100 BUG2 paths past the
+        # obstacles, short enough to repeat within one timed measurement.
+        duration=40.0 if tiny else 60.0,
         coverage_resolution=15.0 if tiny else 10.0,
         seed=seed,
     )
@@ -77,8 +82,10 @@ def _floor_obstacles(seed: int, tiny: bool) -> RunSpec:
 
 def _cpvf_scale(seed: int, tiny: bool) -> RunSpec:
     scenario = ScenarioSpec(
-        sensor_count=400 if tiny else 10_000,
-        duration=4.0 if tiny else 12.0,
+        # 5x10^3 sensors: pair-dominated like 10^4, but a run is short
+        # enough to repeat several times within one timed measurement.
+        sensor_count=400 if tiny else 5_000,
+        duration=4.0 if tiny else 8.0,
         seed=seed,
     )
     return RunSpec(
@@ -89,14 +96,14 @@ def _cpvf_scale(seed: int, tiny: bool) -> RunSpec:
 
 def _churn_lossy(seed: int, tiny: bool) -> RunSpec:
     base = _fig3a(seed, tiny)
-    scale = _TINY_SCALE if tiny else FULL_SCALE
+    scale = _TINY_SCALE if tiny else _CHURN_SCALE
     # reinforcements (25% kill, then joins) composed with mass-failure
     # (20% kill): three events in time order.
     events = lifecycle_events("reinforcements", scale) + lifecycle_events(
         "mass-failure", scale
     )
     return base.replace(
-        scenario=base.scenario.replace(events=events),
+        scenario=base.scenario.replace(duration=scale.duration, events=events),
         network=NetworkSpec(model="unreliable", loss=0.1),
         # Recovery tracking measures coverage every period until an event
         # settles, and how long that takes depends on the seed; at
@@ -125,16 +132,17 @@ WORKLOADS: Dict[str, Workload] = {
             connectivity_guaranteed=False,
         ),
         Workload(
-            "cpvf-scale-1e4",
-            "batched CPVF at n=10^4: pair build/serve/repair, forces and "
+            "cpvf-scale-5e3",
+            "batched CPVF at n=5x10^3: pair build/serve/repair, forces and "
             "memory dominate; per-period Python overhead does not",
             _cpvf_scale,
             connectivity_guaranteed=True,
         ),
         Workload(
             "churn-lossy",
-            "Fig 3(a) with kills, joins and 10% message loss: lifecycle, "
-            "tree repair, retries and cache invalidation",
+            "Fig 3(a)'s setting over 250 periods with kills, joins and 10% "
+            "message loss: lifecycle, tree repair, retries and cache "
+            "invalidation",
             _churn_lossy,
             connectivity_guaranteed=False,
         ),
