@@ -6,13 +6,13 @@ once on the perfect network and once at 10% per-message loss with the
 default retry budget — and gates on the robustness contract: each scheme
 must retain at least 85% of its own perfect-network coverage, and the
 degraded run must surface non-zero ``net.*`` telemetry (proof the loss
-model actually engaged).  A second, advisory check reads the committed
+model actually engaged).  A second check reads the committed
 ``degraded_coverage`` entry of ``BENCH_perf.json`` and re-asserts the
-same contract on the bench-scale numbers; a missing entry skips that
-check rather than failing, so the gate works on branches that predate
-the entry.
+same contract on the bench-scale numbers; a missing file or entry fails
+the gate rather than skipping it.
 
-Exit codes: 0 when every scheme holds the contract, 1 otherwise.
+Exit codes: 0 when every scheme holds the contract and the committed
+entry is present and within it, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -31,17 +31,17 @@ MIN_RATIO = 0.85
 
 
 def check_bench_entry() -> bool:
-    """Advisory re-check of the committed bench-scale numbers."""
+    """Re-check of the committed bench-scale numbers."""
     if not BENCH_PATH.exists():
-        print("network-smoke: BENCH_perf.json missing, skipping bench check")
-        return True
+        print("network-smoke: bench FAIL (BENCH_perf.json missing)")
+        return False
     rows = json.loads(BENCH_PATH.read_text()).get("degraded_coverage")
     if not rows:
         print(
-            "network-smoke: no degraded_coverage entry in BENCH_perf.json, "
-            "skipping bench check"
+            "network-smoke: bench FAIL (no degraded_coverage entry in "
+            "BENCH_perf.json)"
         )
-        return True
+        return False
     ok = True
     for row in rows:
         ratio = row["coverage_ratio"]

@@ -16,8 +16,9 @@ Three gates over the telemetry subsystem (``repro.obs``):
    traced measurement at n = 500 must stay within a generous CI budget of
    both the fresh untraced period and the committed ``fast_ms``.
 
-Exit codes: 0 on pass *or* skip (no committed entry), 1 on failure.  See
-``docs/observability.md``.
+Exit codes: 0 on pass, 1 on failure — including a missing
+``BENCH_perf.json`` or ``telemetry_overhead`` entry, which fails the
+overhead gate rather than skipping it.  See ``docs/observability.md``.
 """
 
 from __future__ import annotations
@@ -116,13 +117,11 @@ def check_report_cli(record) -> list:
 def check_overhead() -> list:
     bench_path = REPO_ROOT / "BENCH_perf.json"
     if not bench_path.exists():
-        print("obs-smoke: overhead SKIP (no committed BENCH_perf.json)")
-        return []
+        return ["overhead: no committed BENCH_perf.json"]
     bench = json.loads(bench_path.read_text())
     entry = next(iter(bench.get("telemetry_overhead", ())), None)
     if entry is None:
-        print("obs-smoke: overhead SKIP (no committed telemetry_overhead entry)")
-        return []
+        return ["overhead: no committed telemetry_overhead entry"]
 
     failures = []
     if entry["overhead_pct"] > MAX_COMMITTED_OVERHEAD_PCT:

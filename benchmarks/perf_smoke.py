@@ -17,9 +17,10 @@ regression (an eligibility check accidentally failing, the store being
 dropped every epoch) that the generous timing budget alone would let
 through at n = 500.
 
-Exit codes: 0 on pass *or* skip (no committed entry / unmeasurable),
-1 only when the measured period exceeds the budget or the incremental
-path never engaged.
+Exit codes: 0 on pass; 1 when the measured period exceeds the budget,
+the incremental path never engaged, or the committed reference
+(``BENCH_perf.json`` or its ``cpvf_period`` n=500 ``fast_ms`` row) is
+missing — a gate without its reference fails rather than skips.
 """
 
 from __future__ import annotations
@@ -38,15 +39,15 @@ BUDGET_FACTOR = 3.0
 def main() -> int:
     bench_path = REPO_ROOT / "BENCH_perf.json"
     if not bench_path.exists():
-        print("perf-smoke: SKIP (no committed BENCH_perf.json)")
-        return 0
+        print("perf-smoke: FAIL (no committed BENCH_perf.json)")
+        return 1
     bench = json.loads(bench_path.read_text())
     row = next(
         (r for r in bench.get("cpvf_period", ()) if r.get("n") == N), None
     )
     if row is None or "fast_ms" not in row:
-        print(f"perf-smoke: SKIP (no committed cpvf_period n={N} entry)")
-        return 0
+        print(f"perf-smoke: FAIL (no committed cpvf_period n={N} entry)")
+        return 1
 
     from repro.experiments.perfbench import _timed_periods
     from repro.obs import Telemetry

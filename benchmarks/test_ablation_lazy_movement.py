@@ -31,7 +31,7 @@ class _LazyCPVF(CPVFScheme):
     """
 
     def __init__(self):
-        super().__init__(vectorized=False)
+        super().__init__(mode="sequential")
 
 
 class _EagerCPVF(_LazyCPVF):

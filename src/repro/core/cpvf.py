@@ -65,9 +65,7 @@ class CPVFScheme(DeploymentScheme):
         oscillation_delta: Optional[float] = None,
         oscillation_mode: str = "one-step",
         repulsion_distance: Optional[float] = None,
-        vectorized: bool = True,
-        mode: Optional[str] = None,
-        repair_grouping: bool = True,
+        mode: str = "vectorized",
     ):
         """Create the scheme.
 
@@ -82,10 +80,6 @@ class CPVFScheme(DeploymentScheme):
         repulsion_distance:
             Pairwise repulsion threshold for the virtual forces; defaults to
             ``2 * rs`` of the simulated sensors.
-        vectorized:
-            Back-compat switch: ``True`` selects ``mode="vectorized"``,
-            ``False`` ``mode="sequential"``.  Ignored when ``mode`` is
-            given explicitly.
         mode:
             Execution strategy of the coverage stage
             (see ``docs/performance.md``):
@@ -108,26 +102,10 @@ class CPVFScheme(DeploymentScheme):
                 frozen link positions, committing in one pass.  Same
                 per-period message accounting; trajectories are
                 equivalent in distribution to the other modes rather
-                than numerically identical.
-        repair_grouping:
-            Batched mode only: execute the repair pass (blocked and
-            stray sensors) in conflict-free *groups* — candidates whose
-            required links share no endpoint are re-laddered and
-            committed as one numpy pass per round — instead of one
-            scalar walk per sensor.  The paper's LockTree/UnLockTree
-            handshake only serializes within a lock subtree, which the
-            grouping respects; message accounting stays structural
-            (one NEIGHBOR_STATE per preserved link, LockTree /
-            UnLockTree per parent-change attempt).  Without parent
-            changes the grouped pass is bit-identical to the serialized
-            one; with them, the group commit order can change which
-            attempts a candidate makes — the same distributional
-            relaxation ``mode="batched"`` itself makes (pinned by
-            ``tests/core/test_repair_groups.py``).  ``False`` restores
-            the fully serialized repair pass.
+                than numerically identical.  Blocked and stray sensors
+                are repaired in conflict-free groups (see
+                :meth:`_repair_grouped`).
         """
-        if mode is None:
-            mode = "vectorized" if vectorized else "sequential"
         if mode not in CPVF_MODES:
             raise ValueError(
                 f"unknown CPVF mode {mode!r}; choose from {list(CPVF_MODES)}"
@@ -137,7 +115,6 @@ class CPVFScheme(DeploymentScheme):
         self._oscillation_mode = OscillationMode.from_string(oscillation_mode)
         self._repulsion_distance = repulsion_distance
         self._mode = mode
-        self._repair_grouping = repair_grouping
         self._vectorized = mode != "sequential"
         self._planner: Optional[Bug2Planner] = None
         self._forces: Optional[VirtualForceModel] = None
@@ -721,26 +698,15 @@ class CPVFScheme(DeploymentScheme):
         if tel.enabled:
             tel.count("cpvf.repair_attempts", len(repair))
             tel.count("cpvf.stray_sensors", int(stray.sum()))
-        if self._repair_grouping:
-            with tel.span("cpvf.repair_groups"):
-                self._repair_grouped(
-                    world, sensors, repair, stray, ux, uy,
-                    candidate_csr, xs, ys, connected, prev_x, prev_y,
-                )
-        else:
-            with tel.span("cpvf.repair"):
-                for i in repair:
-                    self._repair_blocked(
-                        world, sensors[i], Vec2(float(ux[i]), float(uy[i])),
-                        record_messages=bool(stray[i]),
-                        candidate_csr=candidate_csr,
-                        xs=xs, ys=ys, connected=connected,
-                    )
-                    # Keep the live coordinate arrays in sync for later
-                    # repairs.
-                    pos = sensors[i].position
-                    xs[i] = pos.x
-                    ys[i] = pos.y
+        self._repair_pass(
+            world, sensors, repair, stray, ux, uy,
+            candidate_csr, xs, ys, connected, prev_x, prev_y,
+        )
+
+    def _repair_pass(self, world: World, *args) -> None:
+        """The batched period's repair pass, traced as one span."""
+        with world.telemetry.span("cpvf.repair_groups"):
+            self._repair_grouped(world, *args)
 
     def _repair_grouped(
         self,
@@ -771,11 +737,17 @@ class CPVFScheme(DeploymentScheme):
         masks and ``previous_position`` handling mirror
         :meth:`_finish_move` branch for branch); sensors the ladder
         still blocks take the serialized lock-subtree parent-change
-        handshake one by one, exactly as the ungrouped pass — LockTree /
-        UnLockTree stay charged per attempt, preserving the paper's
-        message accounting.  Deferred sensors (link conflicts) retry in
-        the next round; each round admits at least the first pending
-        sensor, so the loop terminates.
+        handshake one by one, exactly as a serialized pass would —
+        LockTree / UnLockTree stay charged per attempt, preserving the
+        paper's message accounting.  Without parent changes the grouped
+        pass is bit-identical to one scalar walk per sensor (the
+        serialized reference lives in ``tests/oracles.py``); with them,
+        the group commit order can change which attempts a candidate
+        makes — the same distributional relaxation ``mode="batched"``
+        itself makes (pinned by ``tests/core/test_repair_groups.py``).
+        Deferred sensors (link conflicts) retry in the next round; each
+        round admits at least the first pending sensor, so the loop
+        terminates.
         """
         assert self._avoidance is not None
         config = world.config
@@ -909,55 +881,6 @@ class CPVFScheme(DeploymentScheme):
             pending = deferred
         if tel.enabled and rounds:
             tel.count("cpvf.repair_rounds", rounds)
-
-    def _repair_blocked(
-        self,
-        world: World,
-        sensor: Sensor,
-        direction: Vec2,
-        record_messages: bool,
-        candidate_csr=None,
-        xs=None,
-        ys=None,
-        connected=None,
-    ) -> None:
-        """Sequential tail for sensors the batch could not move.
-
-        Re-runs the ladder against the settled (post-commit) link
-        positions, attempts a parent change when still blocked, and
-        finishes through the shared scalar tail.  ``record_messages`` is
-        ``False`` for batch-deferred sensors (their state exchange was
-        already accounted in the class batch) and ``True`` for stray
-        sensors that bypassed the batch entirely.  ``candidate_csr`` is
-        the repair pass's shared ``(cols, offsets)`` candidate structure;
-        ``xs, ys, connected`` its live coordinate/state arrays.
-        """
-        config = world.config
-        links = self._tree_link_positions(world, sensor)
-        if record_messages and links:
-            world.routing.record_one_hop(
-                MessageType.NEIGHBOR_STATE, len(links)
-            )
-        step = max_valid_step_points(
-            sensor.position.x,
-            sensor.position.y,
-            direction.x,
-            direction.y,
-            config.max_step,
-            links,
-            config.communication_range,
-        )
-        if step <= 0.0 and self._allow_parent_change:
-            # candidate_csr is always built when parent changes are
-            # allowed (the only caller constructs it unconditionally).
-            step = self._try_parent_change_batched(
-                world, sensor, direction, candidate_csr,
-                xs, ys, connected,
-            )
-        if step <= 0.0:
-            sensor.previous_position = sensor.position
-            return
-        self._finish_move(world, sensor, direction, step)
 
     def _try_parent_change_batched(
         self,
@@ -1289,7 +1212,7 @@ class CPVFScheme(DeploymentScheme):
     ) -> float:
         """Seed-faithful candidate scan: one full step ladder per candidate.
 
-        Kept as the reference/baseline path (``vectorized=False``); the
+        Kept as the reference/baseline path (``mode="sequential"``); the
         fraction-outer scan above returns the same (step, parent) choice.
         """
         config = world.config

@@ -48,13 +48,6 @@ class InvitationProtocol:
     routing: RoutingCostModel
     ttl: int
     rng: random.Random
-    #: Evaluate a round's tree routes (acceptances + acknowledgements)
-    #: in one level-synchronous batch over flattened parent/depth arrays
-    #: instead of one Python chain walk per message.  The hop counts are
-    #: identical to the scalar walk (pinned by
-    #: ``tests/network/test_tree_walks.py``); ``False`` restores the
-    #: per-message walk.
-    batch_walks: bool = True
     _walk_cache: Optional[tuple] = field(default=None, init=False, repr=False)
 
     # ------------------------------------------------------------------
@@ -208,15 +201,16 @@ class InvitationProtocol:
     ) -> List[int]:
         """Tree route hops for many ``(source, destination)`` pairs.
 
-        Uses the level-synchronous :class:`TreeWalkIndex` (cached per
-        ``tree.version``) when batching is enabled and the tree's id
-        domain is flattenable; otherwise walks each route with the
-        scalar :meth:`RoutingCostModel.tree_route_hops`.  Both paths
-        return identical hop counts.
+        A round's routes (acceptances + acknowledgements) are evaluated in
+        one level-synchronous batch by :class:`TreeWalkIndex` (cached per
+        ``tree.version``).  Only a tree whose id domain is too sparse to
+        flatten (``TreeWalkIndex.degenerate``) walks each route with the
+        scalar :meth:`RoutingCostModel.tree_route_hops`.  Both return
+        identical hop counts (pinned by ``tests/network/test_tree_walks.py``).
         """
         if not pairs:
             return []
-        index = self._walk_index(tree) if self.batch_walks else None
+        index = self._walk_index(tree)
         if index is None:
             return [
                 self.routing.tree_route_hops(tree, src, dst)

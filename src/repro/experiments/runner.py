@@ -38,6 +38,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..api import RunRecord, SweepRunner, SweepSpec, thaw_params
+from ..core import CPVF_MODES
 from ..obs import TelemetrySummary
 from ..obs.report import format_summary, write_record_trace
 from .common import BENCH_SCALE, FULL_SCALE, SMOKE_SCALE, ExperimentScale
@@ -165,8 +166,6 @@ def run_experiment_records(
     experiment = EXPERIMENTS[name]
     sweep = experiment.build(scale, seed, trace_every)
     if cpvf_mode is not None:
-        from ..core import CPVF_MODES
-
         if cpvf_mode not in CPVF_MODES:
             raise ValueError(
                 f"unknown CPVF mode {cpvf_mode!r}; choose from {list(CPVF_MODES)}"
@@ -311,7 +310,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     parser.add_argument(
         "--cpvf-mode",
-        choices=["sequential", "vectorized", "batched"],
+        choices=list(CPVF_MODES),
         default=None,
         help=(
             "CPVF execution strategy for every CPVF run (see "

@@ -43,17 +43,15 @@ class Radio:
         When ``True``, two nodes are neighbours only if the straight segment
         between them does not cross an obstacle.  The paper's experiments use
         the plain unit-disk model (``False``).
-    use_spatial_index:
-        When ``True`` (the default) neighbour tables are computed through a
-        :class:`~repro.spatial.SpatialIndex` instead of a dense ``n x n``
-        distance matrix.  The brute-force path is kept (and used for very
-        small populations) and produces identical tables; parity is
-        enforced by ``tests/spatial``.
+
+    Neighbour queries are served through a
+    :class:`~repro.spatial.SpatialIndex` and accept by *squared* distance;
+    ``tests/oracles.py`` holds the dense brute-force scans they are
+    parity-tested against.
     """
 
     field: Field
     line_of_sight: bool = False
-    use_spatial_index: bool = True
 
     # ------------------------------------------------------------------
     # Pairwise link predicate
@@ -69,58 +67,16 @@ class Radio:
     # ------------------------------------------------------------------
     # Neighbour tables
     # ------------------------------------------------------------------
-    def neighbor_table(self, sensors: Sequence[Sensor]) -> Dict[int, List[int]]:
-        """Neighbour lists keyed by sensor id.
-
-        The per-sensor communication ranges may differ (the paper uses a
-        common ``rc`` but the library does not require it).  Dispatches to
-        the spatial-index fast path unless disabled or the population is
-        too small for it to pay off.
-        """
-        if not self.use_spatial_index or len(sensors) < 8:
-            return self.neighbor_table_bruteforce(sensors)
-        return self.neighbor_table_indexed(sensors)
-
-    def neighbor_table_bruteforce(
-        self, sensors: Sequence[Sensor]
-    ) -> Dict[int, List[int]]:
-        """Dense-matrix neighbour table (parity reference / small-n path).
-
-        Compares *squared* distances — no ``sqrt`` over the full matrix —
-        which keeps the accepted set identical to the indexed path.
-        """
-        ids = [s.sensor_id for s in sensors]
-        if not ids:
-            return {}
-        xs = np.array([s.position.x for s in sensors])
-        ys = np.array([s.position.y for s in sensors])
-        rcs = np.array([s.communication_range for s in sensors]) + _LINK_EPS
-        dx = xs[:, None] - xs[None, :]
-        dy = ys[:, None] - ys[None, :]
-        dist_sq = dx * dx + dy * dy
-        rc_sq = rcs * rcs
-        table: Dict[int, List[int]] = {i: [] for i in ids}
-        n = len(sensors)
-        for i in range(n):
-            within = np.flatnonzero(dist_sq[i] <= rc_sq[i])
-            for j in within:
-                if j == i:
-                    continue
-                if self.line_of_sight and self.field.segment_blocked(
-                    Segment(sensors[i].position, sensors[j].position)
-                ):
-                    continue
-                table[ids[i]].append(ids[int(j)])
-        return table
-
-    def neighbor_table_indexed(
+    def neighbor_table(
         self,
         sensors: Sequence[Sensor],
         index: Optional[SpatialIndex] = None,
     ) -> Dict[int, List[int]]:
-        """Neighbour table computed through a :class:`SpatialIndex`.
+        """Neighbour lists keyed by sensor id.
 
-        ``index`` may be a prebuilt index over the sensors' current
+        The per-sensor communication ranges may differ (the paper uses a
+        common ``rc`` but the library does not require it).  ``index`` may
+        be a prebuilt :class:`SpatialIndex` over the sensors' current
         positions (the :class:`~repro.spatial.NeighborCache` shares one per
         epoch); when omitted a throwaway index is built.
         """
@@ -175,19 +131,15 @@ class Radio:
         """IDs of sensors within ``communication_range`` of a point.
 
         Used for base-station adjacency (the base station is a point, not a
-        :class:`Sensor`).  Large populations are served through a
-        :class:`~repro.spatial.SpatialIndex` (pass ``index`` to reuse one
-        already built over the *same* sensor sequence); the brute scan
-        below remains the small-``n`` path and the parity reference.
-        Candidate indices are sorted, so the result order matches the
-        brute scan's input order.
+        :class:`Sensor`).  Pass ``index`` to reuse a
+        :class:`~repro.spatial.SpatialIndex` already built over the *same*
+        sensor sequence.  Candidate indices are sorted, so the result
+        follows the input order of ``sensors``.
         """
         sensor_list = sensors if isinstance(sensors, list) else list(sensors)
+        if not sensor_list:
+            return []
         if index is None:
-            if not self.use_spatial_index or len(sensor_list) < 8:
-                return self.neighbors_of_point_bruteforce(
-                    point, sensor_list, communication_range
-                )
             cell = max(communication_range, _LINK_EPS) * 1.001
             index = SpatialIndex(cell).build(pack_positions(sensor_list))
         candidates = np.sort(
@@ -200,19 +152,6 @@ class Radio:
                 point, sensor_list[i].position, communication_range
             )
         ]
-
-    def neighbors_of_point_bruteforce(
-        self,
-        point: Vec2,
-        sensors: Iterable[Sensor],
-        communication_range: float,
-    ) -> List[int]:
-        """Reference linear scan for :meth:`neighbors_of_point`."""
-        result: List[int] = []
-        for s in sensors:
-            if self.link_exists(point, s.position, communication_range):
-                result.append(s.sensor_id)
-        return result
 
     # ------------------------------------------------------------------
     # Whole-network connectivity

@@ -12,8 +12,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
 from ..field import (
     Field,
     clustered_initial_positions,
@@ -57,10 +55,6 @@ class World:
     #: injection).  Cache epochs include it, so population churn invalidates
     #: derived structures even when no surviving sensor moved.
     population_version: int = 0
-    #: Fast-path switches; the brute-force implementations remain available
-    #: (and are compared against the fast paths by the spatial parity tests).
-    use_neighbor_cache: bool = True
-    use_incremental_coverage: bool = True
     #: Telemetry distribution point: the engine installs its collector
     #: here, so schemes / tree repair / fault injection reach it through
     #: the world they already hold.  The shared null instance makes the
@@ -85,8 +79,9 @@ class World:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    @staticmethod
+    @classmethod
     def create(
+        cls,
         config: SimulationConfig,
         field: Field,
         initial_positions: Optional[Sequence[Vec2]] = None,
@@ -138,7 +133,7 @@ class World:
             for i, pos in enumerate(initial_positions)
         ]
         stats = MessageStats()
-        return World(
+        return cls(
             config=config,
             field=field,
             sensors=sensors,
@@ -186,9 +181,7 @@ class World:
 
     def neighbor_table(self) -> Dict[int, List[int]]:
         """Current neighbour lists (ids within communication range)."""
-        if self.use_neighbor_cache:
-            return self._cache().neighbor_table()
-        return self.radio.neighbor_table(self.alive_sensors())
+        return self._cache().neighbor_table()
 
     def neighbor_pairs(self, extra_radius: float = 0.0, with_d2: bool = False):
         """Directed neighbour pairs ``(rows, cols[, d2])`` as index arrays.
@@ -198,53 +191,25 @@ class World:
         the batched CPVF kernel; see
         :meth:`repro.spatial.NeighborCache.neighbor_pairs`.
         """
-        if self.use_neighbor_cache:
-            return self._cache().neighbor_pairs(extra_radius, with_d2)
-        from ..spatial.cache import pairs_from_table
-
-        alive = self.alive_sensors()
-        rows, cols, d2 = pairs_from_table(
-            alive, self.radio.neighbor_table(alive)
-        )
-        if len(alive) != len(self.sensors):
-            # pairs_from_table emits positions into the alive subset; the
-            # batched kernel indexes whole-population arrays, so remap to
-            # full-list indices (== sensor ids).
-            ids = np.fromiter(
-                (s.sensor_id for s in alive), dtype=np.intp, count=len(alive)
-            )
-            rows = ids[rows]
-            cols = ids[cols]
-        if with_d2:
-            return rows, cols, d2
-        return rows, cols
+        return self._cache().neighbor_pairs(extra_radius, with_d2)
 
     def pairs_maintenance_hint(self, extra_radius: float = 0.0) -> str:
         """``"incremental"`` or ``"rebuild"`` — how the next
         :meth:`neighbor_pairs` call at this radius will be served (see
-        :meth:`repro.spatial.NeighborCache.pairs_maintenance_hint`).
-        Always ``"rebuild"`` with the cache disabled."""
-        if not self.use_neighbor_cache:
-            return "rebuild"
+        :meth:`repro.spatial.NeighborCache.pairs_maintenance_hint`)."""
         return self._cache().pairs_maintenance_hint(extra_radius)
 
     def pairs_maintenance_last(self) -> Optional[str]:
         """Kind of the most recent pair answer ("memo"/"derived"/
         "serve"/"repair"/"rebuild"/"bypass"), ``None`` before the first
-        request or with the cache disabled."""
-        if not self.use_neighbor_cache or self._neighbor_cache is None:
+        request."""
+        if self._neighbor_cache is None:
             return None
         return self._neighbor_cache.pair_events["last"]
 
     def neighbor_rows(self, sensor_ids: Sequence[int]) -> Dict[int, List[int]]:
-        """Neighbour lists for a subset of sensors (see the cache method).
-
-        Falls back to slicing the full table when the cache is disabled.
-        """
-        if self.use_neighbor_cache:
-            return self._cache().neighbor_rows(sensor_ids)
-        table = self.radio.neighbor_table(self.alive_sensors())
-        return {sid: list(table.get(sid, ())) for sid in sensor_ids}
+        """Neighbour lists for a subset of sensors (see the cache method)."""
+        return self._cache().neighbor_rows(sensor_ids)
 
     def protocol_neighbor_table(self) -> Dict[int, List[int]]:
         """Neighbour table as the *protocol* layer sees it.
@@ -265,19 +230,11 @@ class World:
 
     def sensors_near_base_station(self) -> List[int]:
         """Sensors within one hop of the base station."""
-        if self.use_neighbor_cache:
-            return self._cache().base_station_neighbors()
-        return self.radio.neighbors_of_point(
-            self.base_station, self.alive_sensors(), self.config.communication_range
-        )
+        return self._cache().base_station_neighbors()
 
     def connected_component_of(self) -> Set[int]:
         """Ids of sensors reachable from the base station via multi-hop links."""
-        if self.use_neighbor_cache:
-            return self._cache().connected_component()
-        return self.radio.connected_component_of(
-            self.alive_sensors(), self.base_station, self.config.communication_range
-        )
+        return self._cache().connected_component()
 
     def connected_sensor_ids(self) -> List[int]:
         """Sensors currently marked as connected (any connected state)."""
@@ -294,12 +251,6 @@ class World:
         brute-force ``Field.coverage_fraction`` scan.
         """
         alive = self.alive_sensors()
-        if not self.use_incremental_coverage:
-            return self.field.coverage_fraction(
-                [s.position for s in alive],
-                self.config.sensing_range,
-                self.config.coverage_resolution,
-            )
         key = (self.config.sensing_range, self.config.coverage_resolution)
         tracker = self._coverage_trackers.get(key)
         if tracker is None:
@@ -310,11 +261,7 @@ class World:
 
     def network_is_connected(self) -> bool:
         """Whether every live sensor has a multi-hop route to the base station."""
-        if self.use_neighbor_cache:
-            return len(self.connected_component_of()) == self.alive_count()
-        return self.radio.network_is_connected(
-            self.alive_sensors(), self.base_station, self.config.communication_range
-        )
+        return len(self.connected_component_of()) == self.alive_count()
 
     def total_moving_distance(self) -> float:
         """Sum of all sensors' odometers."""

@@ -59,10 +59,10 @@ _PAIRS_MEMO_LIMIT = 8
 def pairs_from_table(sensors, table) -> tuple:
     """Pack a neighbour-table dict into ``(rows, cols, d2)`` arrays.
 
-    The shared fallback conversion for consumers that need the flat pair
-    view when the indexed path is unavailable (line-of-sight radio,
-    cache disabled): positional indices in table order, plus the exact
-    squared distances.
+    The conversion for consumers that need the flat pair view when the
+    indexed path is unavailable (line-of-sight radio, fewer than two live
+    sensors): positional indices in table order, plus the exact squared
+    distances.
     """
     pos_of = {s.sensor_id: k for k, s in enumerate(sensors)}
     rows_list: List[int] = []
@@ -164,7 +164,7 @@ class NeighborCache:
         """The shared index for the current epoch (``None`` when unusable)."""
         world = self._world
         sensors = self._alive_sensors()
-        if not world.radio.use_spatial_index or len(sensors) < 2:
+        if len(sensors) < 2:
             return None
         if self._index is None:
             max_range = max(s.communication_range for s in sensors)
@@ -206,15 +206,9 @@ class NeighborCache:
 
     def _raw_table(self) -> Dict[int, List[int]]:
         if self._table is None:
-            world = self._world
-            sensors = self._alive_sensors()
-            index = self._spatial_index()
-            if index is not None:
-                self._table = world.radio.neighbor_table_indexed(
-                    sensors, index
-                )
-            else:
-                self._table = world.radio.neighbor_table(sensors)
+            self._table = self._world.radio.neighbor_table(
+                self._alive_sensors(), self._spatial_index()
+            )
         return self._table
 
     def neighbor_pairs(
@@ -287,16 +281,15 @@ class NeighborCache:
         """The scalar acceptance limit, or ``None`` when ineligible.
 
         The incremental store (like the nesting reuse) only applies when
-        acceptance is one scalar radius over the full population: indexed
-        radio, no line-of-sight blocking, no dead sensors (positional
+        acceptance is one scalar radius over the full population: no
+        line-of-sight blocking, no dead sensors (positional
         indices must equal sensor ids for the store's anchors to stay
         meaningful across epochs), homogeneous communication ranges.
         """
         world = self._world
         sensors = self._alive_sensors()
         if (
-            not world.radio.use_spatial_index
-            or world.radio.line_of_sight
+            world.radio.line_of_sight
             or len(sensors) < 2
             or len(sensors) != len(world.sensors)
         ):
@@ -393,7 +386,7 @@ class NeighborCache:
                 return (*self._remap_pairs(sensors, rows, cols), d2, None)
             rows, cols = self._remap_pairs(sensors, rows, cols)
             return rows, cols, d2, max_range
-        # Line-of-sight (or index disabled): derive the pairs from the
+        # Line-of-sight (or < 2 sensors): derive the pairs from the
         # authoritative table so blocking semantics carry over.  The
         # inflation is ignored here — candidates beyond the table's reach
         # are a perf superset, never a correctness requirement.

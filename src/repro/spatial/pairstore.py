@@ -30,35 +30,25 @@ The drift check uses the *measured* per-sensor displacement, not a
 ``max_step`` assumption, so teleports (tests calling ``move_to``
 directly, fault-injection joins) are handled by the same invariant.
 
-``scipy.spatial.cKDTree`` is used for bulk generation when available
-(it is a compiled radius query; CI runs numpy-only and exercises the
-fallback); both paths produce byte-identical arrays because acceptance
-is always our own ``dx*dx + dy*dy <= limit*limit`` predicate — the tree
-query only proposes candidates, at an inflated radius that can never
-exclude a pair the exact predicate accepts.
+Bulk generation and repair probes both run on the numpy
+:class:`~repro.spatial.SpatialIndex`; acceptance is always the exact
+``dx*dx + dy*dy <= limit*limit`` predicate, so cell size never shows in
+the result.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-try:  # pragma: no cover - exercised via the availability flag
-    from scipy.spatial import cKDTree
-except Exception:  # pragma: no cover - numpy-only environments (CI)
-    cKDTree = None
-
 from .index import SpatialIndex
 
-__all__ = ["PairStore", "directed_pairs_sorted", "HAVE_KDTREE"]
+__all__ = ["PairStore", "directed_pairs_sorted"]
 
-#: Whether the compiled kd-tree path is available in this environment.
-HAVE_KDTREE = cKDTree is not None
-
-#: Relative + absolute inflation of candidate-proposal radii (kd-tree
-#: query, probe ring) so float rounding at the boundary can never drop a
-#: pair the exact squared-distance predicate accepts.
+#: Relative + absolute inflation of the probe's candidate radius so float
+#: rounding at the boundary can never drop a pair the exact
+#: squared-distance predicate accepts.
 _QUERY_SLACK = 1e-9
 
 #: Safety margin subtracted from the per-sensor drift budget; the slack
@@ -67,55 +57,28 @@ _QUERY_SLACK = 1e-9
 #: classifying a genuinely safe sensor as a mover.
 _DRIFT_MARGIN = 1e-7
 
-PairFallback = Callable[[np.ndarray, np.ndarray, float], Tuple]
-
-
-def _fallback_pairs(x: np.ndarray, y: np.ndarray, limit: float) -> Tuple:
-    """Index-based pair generation (numpy-only path)."""
-    idx = SpatialIndex(max(limit, 1e-9) * 1.001 / 2.0).build(
-        np.column_stack([x, y])
-    )
-    return idx.neighbor_pairs_directed(limit)
-
 
 def directed_pairs_sorted(
     x: np.ndarray, y: np.ndarray, limit: float
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All directed pairs ``(i, j)``, ``i != j``, with ``d2 <= limit**2``.
 
-    Identical output (values, dtype-compatible ordering) to
-    ``SpatialIndex(...).build(...).neighbor_pairs_directed(limit)``:
-    lexicographically sorted by ``(row, col)`` with the exact float64
-    squared distances.  Uses the compiled kd-tree when available; the
-    accepted set is decided by the same ``dx*dx + dy*dy`` predicate
-    either way, so cell size / tree topology never shows in the result.
+    The output of ``SpatialIndex(...).build(...).neighbor_pairs_directed``
+    over half-radius cells, as ``intp`` index arrays: lexicographically
+    sorted by ``(row, col)`` with the exact float64 squared distances.
     """
-    n = len(x)
-    if n < 2 or limit < 0:
+    if len(x) < 2 or limit < 0:
         empty = np.empty(0, dtype=np.intp)
         return empty, empty.copy(), np.empty(0, dtype=float)
-    if cKDTree is None:
-        rows, cols, d2 = _fallback_pairs(x, y, limit)
-        return (
-            rows.astype(np.intp, copy=False),
-            cols.astype(np.intp, copy=False),
-            d2,
-        )
-    tree = cKDTree(np.column_stack([x, y]))
-    und = tree.query_pairs(
-        limit * (1.0 + _QUERY_SLACK) + _QUERY_SLACK, output_type="ndarray"
+    idx = SpatialIndex(max(limit, 1e-9) * 1.001 / 2.0).build(
+        np.column_stack([x, y])
     )
-    a = und[:, 0].astype(np.intp, copy=False)
-    b = und[:, 1].astype(np.intp, copy=False)
-    rows = np.concatenate([a, b])
-    cols = np.concatenate([b, a])
-    dx = x[rows] - x[cols]
-    dy = y[rows] - y[cols]
-    d2 = dx * dx + dy * dy
-    keep = d2 <= limit * limit
-    rows, cols, d2 = rows[keep], cols[keep], d2[keep]
-    order = np.argsort(rows * n + cols, kind="stable")
-    return rows[order], cols[order], d2[order]
+    rows, cols, d2 = idx.neighbor_pairs_directed(limit)
+    return (
+        rows.astype(np.intp, copy=False),
+        cols.astype(np.intp, copy=False),
+        d2,
+    )
 
 
 class PairStore:
@@ -242,43 +205,28 @@ class PairStore:
     def _probe(self, movers: np.ndarray):
         """Directed pairs ``(mover, j)`` within the store radius.
 
-        Candidates come from an inflated-radius neighbourhood query over
-        the **anchor** positions (kd-tree when available, cell index
-        otherwise); acceptance is the exact anchored squared-distance
-        predicate, so the probe can never disagree with a full rebuild.
+        Candidates come from an inflated-radius cell-index query over the
+        **anchor** positions; acceptance is the exact anchored
+        squared-distance predicate, so the probe can never disagree with
+        a full rebuild.
         """
         limit = self.limit
         reach = limit * (1.0 + _QUERY_SLACK) + _QUERY_SLACK
-        if cKDTree is not None:
-            tree = cKDTree(np.column_stack([self.ax, self.ay]))
-            balls = tree.query_ball_point(
-                np.column_stack([self.ax[movers], self.ay[movers]]), reach
-            )
-            lengths = np.fromiter(
-                (len(b) for b in balls), dtype=np.intp, count=len(balls)
-            )
-            cand = np.fromiter(
-                (j for ball in balls for j in ball),
-                dtype=np.intp,
-                count=int(lengths.sum()),
-            )
-            owner = np.repeat(movers, lengths)
+        idx = SpatialIndex(max(limit, 1e-9) * 1.001).build(
+            np.column_stack([self.ax, self.ay])
+        )
+        chunks = []
+        owners = []
+        for m in movers.tolist():
+            hits = idx.query_radius((self.ax[m], self.ay[m]), reach)
+            chunks.append(hits)
+            owners.append(np.full(len(hits), m, dtype=np.intp))
+        if chunks:
+            cand = np.concatenate(chunks)
+            owner = np.concatenate(owners)
         else:
-            idx = SpatialIndex(max(limit, 1e-9) * 1.001).build(
-                np.column_stack([self.ax, self.ay])
-            )
-            chunks = []
-            owners = []
-            for m in movers.tolist():
-                hits = idx.query_radius((self.ax[m], self.ay[m]), reach)
-                chunks.append(hits)
-                owners.append(np.full(len(hits), m, dtype=np.intp))
-            if chunks:
-                cand = np.concatenate(chunks)
-                owner = np.concatenate(owners)
-            else:
-                cand = np.empty(0, dtype=np.intp)
-                owner = np.empty(0, dtype=np.intp)
+            cand = np.empty(0, dtype=np.intp)
+            owner = np.empty(0, dtype=np.intp)
         dx = self.ax[owner] - self.ax[cand]
         dy = self.ay[owner] - self.ay[cand]
         ok = (dx * dx + dy * dy <= limit * limit) & (owner != cand)

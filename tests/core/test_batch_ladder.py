@@ -279,9 +279,9 @@ class TestModeSelection:
         with pytest.raises(ValueError, match="unknown CPVF mode"):
             CPVFScheme(mode="warp")
 
-    def test_vectorized_flag_maps_to_modes(self):
-        assert CPVFScheme(vectorized=False).mode == "sequential"
-        assert CPVFScheme(vectorized=True).mode == "vectorized"
+    def test_modes(self):
+        assert CPVFScheme().mode == "vectorized"
+        assert CPVFScheme(mode="sequential").mode == "sequential"
         assert CPVFScheme(mode="batched").mode == "batched"
         assert set(CPVF_MODES) == {"sequential", "vectorized", "batched"}
 

@@ -1,6 +1,7 @@
 """Tests for the floor registry and coverage-status queries."""
 
 import pytest
+from oracles import ScanFloorRegistry
 
 from repro.core import FloorGeometry, FloorRegistry
 from repro.geometry import Vec2
@@ -116,8 +117,7 @@ class TestSpatialIndexParity:
 
     def _random_registries(self, rng, rs=40.0, size=1000.0, n=80):
         indexed = make_registry(rs=rs, size=size)
-        brute = make_registry(rs=rs, size=size)
-        brute.use_spatial_index = False
+        brute = ScanFloorRegistry(indexed.floors)
         for node_id in range(n):
             pos = Vec2(rng.uniform(0, size), rng.uniform(0, size))
             virtual = rng.random() < 0.2

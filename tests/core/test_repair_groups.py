@@ -8,12 +8,14 @@ trajectory is bit-identical to the serialized pass, and with parent
 changes enabled the paper's LockTree/UnLockTree handshake must be
 charged per attempt exactly as before — pinned here by stepping grouped
 and serialized twins from identical world snapshots and comparing the
-per-period lock counts.
+per-period lock counts.  The serialized pass is the
+:class:`~oracles.SerialRepairCPVF` reference.
 """
 
 import copy
 
 import pytest
+from oracles import SerialRepairCPVF
 
 from repro.core import CPVFScheme
 from repro.core.lazy import LazyMovementController
@@ -27,13 +29,15 @@ from repro.obs import Telemetry
 LOCK_TYPES = (MessageType.LOCK_TREE, MessageType.UNLOCK_TREE)
 
 
+def _batched(repair_grouping, **kwargs):
+    """A batched scheme with grouped (production) or serialized repair."""
+    scheme_cls = CPVFScheme if repair_grouping else SerialRepairCPVF
+    return scheme_cls(mode="batched", **kwargs)
+
+
 def _twin(world, config, repair_grouping, allow_parent_change=True):
     """A batched scheme wired to an already-initialized world snapshot."""
-    scheme = CPVFScheme(
-        mode="batched",
-        allow_parent_change=allow_parent_change,
-        repair_grouping=repair_grouping,
-    )
+    scheme = _batched(repair_grouping, allow_parent_change=allow_parent_change)
     scheme._planner = Bug2Planner(world.field, Handedness.RIGHT)
     scheme._forces = VirtualForceModel(
         repulsion_distance=2.0 * config.sensing_range,
@@ -63,11 +67,7 @@ class TestGroupedParity:
         for grouping in (True, False):
             config = make_config(SMOKE_SCALE, seed=seed)
             world = make_world(config, SMOKE_SCALE)
-            scheme = CPVFScheme(
-                mode="batched",
-                allow_parent_change=False,
-                repair_grouping=grouping,
-            )
+            scheme = _batched(grouping, allow_parent_change=False)
             scheme.initialize(world)
             for _ in range(8):
                 scheme.step(world)
@@ -83,7 +83,7 @@ class TestGroupedParity:
         for grouping in (True, False):
             config = make_config(SMOKE_SCALE, seed=seed)
             world = make_world(config, SMOKE_SCALE)
-            scheme = CPVFScheme(mode="batched", repair_grouping=grouping)
+            scheme = _batched(grouping)
             scheme.initialize(world)
             for _ in range(12):
                 scheme.step(world)
@@ -113,7 +113,7 @@ class TestLockHandshakeSnapshot:
         lock wave has its unlock wave, grouped or not)."""
         config = make_config(SMOKE_SCALE, seed=seed)
         world = make_world(config, SMOKE_SCALE)
-        driver = CPVFScheme(mode="batched", repair_grouping=False)
+        driver = _batched(False)
         driver.initialize(world)
         traces = {True: [], False: []}
         for period in range(8):
@@ -168,7 +168,7 @@ class TestGroupedInvariants:
             world = make_world(config, SMOKE_SCALE)
             tel = Telemetry()
             world.telemetry = tel
-            scheme = CPVFScheme(mode="batched", repair_grouping=grouping)
+            scheme = _batched(grouping)
             scheme.initialize(world)
             for _ in range(8):
                 scheme.step(world)

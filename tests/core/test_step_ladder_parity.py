@@ -106,8 +106,8 @@ class TestParentChangeParity:
                 continue
             fast_world = copy.deepcopy(world)
             seed_world = copy.deepcopy(world)
-            fast_scheme = CPVFScheme(vectorized=True)
-            seed_scheme = CPVFScheme(vectorized=False)
+            fast_scheme = CPVFScheme(mode="vectorized")
+            seed_scheme = CPVFScheme(mode="sequential")
             fast_step = fast_scheme._try_parent_change(
                 fast_world, fast_world.sensor(sensor.sensor_id), direction, table
             )

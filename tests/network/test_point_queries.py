@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from oracles import neighbors_of_point_bruteforce
 
 from repro.field import Field, two_obstacle_field
 from repro.geometry import Vec2
@@ -41,31 +42,19 @@ def test_indexed_point_query_matches_bruteforce(trial, line_of_sight):
     for _ in range(5):
         point = Vec2(rng.uniform(0, FIELD_SIZE), rng.uniform(0, FIELD_SIZE))
         fast = radio.neighbors_of_point(point, sensors, rc)
-        brute = radio.neighbors_of_point_bruteforce(point, sensors, rc)
+        brute = neighbors_of_point_bruteforce(radio, point, sensors, rc)
         assert fast == brute
 
 
-def test_small_population_uses_brute_path_and_agrees():
+def test_small_population_agrees_with_bruteforce():
     field = Field(FIELD_SIZE, FIELD_SIZE)
     radio = Radio(field)
     rng = random.Random(7)
-    sensors = make_sensors(rng, 5, field)  # below the index threshold
+    sensors = make_sensors(rng, 5, field)
     point = Vec2(150.0, 150.0)
     assert radio.neighbors_of_point(
         point, sensors, 100.0
-    ) == radio.neighbors_of_point_bruteforce(point, sensors, 100.0)
-
-
-def test_disabling_spatial_index_forces_brute_path():
-    field = Field(FIELD_SIZE, FIELD_SIZE)
-    radio = Radio(field)
-    radio.use_spatial_index = False
-    rng = random.Random(9)
-    sensors = make_sensors(rng, 40, field)
-    point = Vec2(10.0, 10.0)
-    assert radio.neighbors_of_point(
-        point, sensors, 120.0
-    ) == radio.neighbors_of_point_bruteforce(point, sensors, 120.0)
+    ) == neighbors_of_point_bruteforce(radio, point, sensors, 100.0)
 
 
 def test_boundary_distance_is_inclusive_on_both_paths():
@@ -85,6 +74,6 @@ def test_boundary_distance_is_inclusive_on_both_paths():
     point = Vec2(0.0, 0.0)
     # Sensor 3 sits exactly at distance 40; both paths must include it.
     fast = radio.neighbors_of_point(point, sensors, 40.0)
-    brute = radio.neighbors_of_point_bruteforce(point, sensors, 40.0)
+    brute = neighbors_of_point_bruteforce(radio, point, sensors, 40.0)
     assert fast == brute
     assert 3 in fast and 4 not in fast

@@ -14,10 +14,16 @@ message counts.
 import random
 
 import pytest
+from oracles import ScalarWalkInvitations
 
-from repro.core import FloorScheme
+from repro.core import FloorScheme, InvitationProtocol
 from repro.experiments.common import SMOKE_SCALE, make_config, make_world
-from repro.network import BASE_STATION_ID, ConnectivityTree, RoutingCostModel
+from repro.network import (
+    BASE_STATION_ID,
+    ConnectivityTree,
+    MessageStats,
+    RoutingCostModel,
+)
 from repro.network.walks import TreeWalkIndex
 
 
@@ -100,6 +106,25 @@ class TestTreeWalkIndex:
         index = TreeWalkIndex(tree)
         assert index.degenerate
 
+    @pytest.mark.parametrize("degenerate", [False, True])
+    def test_protocol_routes_match_scalar_walks(self, degenerate):
+        """The invitation protocol batches routes over a flattenable tree
+        and walks them one by one over a degenerate one; either way its
+        hop counts equal the scalar-walk reference."""
+        rng = random.Random(31)
+        tree = random_tree(rng, 40)
+        if degenerate:
+            tree.attach(10**9, 7)  # a member with a huge id
+        assert TreeWalkIndex(tree).degenerate is degenerate
+        members = list(tree.parent)
+        pairs = [(rng.choice(members), rng.choice(members)) for _ in range(60)]
+        routing = RoutingCostModel(MessageStats())
+        batched = InvitationProtocol(routing, 5, random.Random(0))
+        scalar = ScalarWalkInvitations(routing, 5, random.Random(0))
+        assert batched._route_hops(tree, pairs) == scalar._route_hops(
+            tree, pairs
+        )
+
     def test_cycle_raises(self):
         tree = ConnectivityTree()
         tree.attach(0, BASE_STATION_ID)
@@ -117,7 +142,11 @@ class TestFloorBatchedWalks:
         world = make_world(config, SMOKE_SCALE)
         scheme = FloorScheme()
         scheme.initialize(world)
-        scheme._invitations.batch_walks = batch
+        if not batch:
+            inv = scheme._invitations
+            scheme._invitations = ScalarWalkInvitations(
+                inv.routing, inv.ttl, inv.rng
+            )
         for period in range(8):
             world.period_index = period
             world.network.on_period(world)

@@ -9,7 +9,7 @@ nesting derivation), must equal a fresh
 ``SpatialIndex.neighbor_pairs_directed`` build over the live positions —
 same pairs, same lexicographic order, same float64 squared distances.
 This module pins that contract across drift, teleports, mixed-radius
-request sequences, population churn and the numpy-only fallback.
+request sequences and population churn.
 """
 
 import random
@@ -20,7 +20,6 @@ import pytest
 from repro.experiments.common import SMOKE_SCALE, make_config, make_world
 from repro.geometry import Vec2
 from repro.spatial import PairStore, SpatialIndex
-from repro.spatial import pairstore as pairstore_mod
 from repro.spatial.cache import _LINK_EPS, _PAIRS_MEMO_LIMIT
 from repro.spatial.pairstore import directed_pairs_sorted
 
@@ -84,14 +83,6 @@ class TestDirectedPairsSorted:
             directed_pairs_sorted(x, y, limit), _fresh_pairs(x, y, limit)
         )
 
-    def test_fallback_path_matches(self, monkeypatch):
-        """numpy-only CI path == kd-tree path (same exact predicate)."""
-        rng = random.Random(17)
-        x, y = _coords(rng, 80)
-        with_tree = directed_pairs_sorted(x, y, 40.0)
-        monkeypatch.setattr(pairstore_mod, "cKDTree", None)
-        _assert_exact(directed_pairs_sorted(x, y, 40.0), with_tree)
-
     def test_degenerate_inputs(self):
         rows, cols, d2 = directed_pairs_sorted(
             np.array([1.0]), np.array([1.0]), 10.0
@@ -148,28 +139,6 @@ class TestPairStore:
             _assert_exact(
                 store.serve(lx, ly, limit), _fresh_pairs(lx, ly, limit)
             )
-
-    def test_repair_fallback_path_matches(self, monkeypatch):
-        rng = random.Random(23)
-        x, y = _coords(rng, 70)
-        limit = 40.0
-
-        def run():
-            store = PairStore.build(x, y, limit * 1.2)
-            lx, ly = x.copy(), y.copy()
-            for m in (3, 11, 40):
-                lx[m] = rng_fixed[m][0]
-                ly[m] = rng_fixed[m][1]
-            store.repair(lx, ly, np.array([3, 11, 40]))
-            return store
-
-        rng_fixed = {m: (rng.uniform(0, FIELD), rng.uniform(0, FIELD))
-                     for m in (3, 11, 40)}
-        with_tree = run()
-        monkeypatch.setattr(pairstore_mod, "cKDTree", None)
-        without = run()
-        assert np.array_equal(with_tree.rows, without.rows)
-        assert np.array_equal(with_tree.cols, without.cols)
 
     def test_unserveable_requests_return_none(self):
         rng = random.Random(5)

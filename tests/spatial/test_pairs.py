@@ -8,6 +8,7 @@ table's, and the inflated sets must nest around it.
 import random
 
 import numpy as np
+from oracles import BruteWorld
 
 from repro.experiments.common import SMOKE_SCALE, make_config, make_world
 from repro.field import uniform_initial_positions
@@ -87,7 +88,7 @@ class TestNeighborPairs:
     def test_bruteforce_pairs_match_indexed(self):
         world = _world()
         rows_i, cols_i = world.neighbor_pairs()
-        world.use_neighbor_cache = False
-        rows_b, cols_b = world.neighbor_pairs()
+        brute = BruteWorld.create(world.config, world.field, world.positions())
+        rows_b, cols_b = brute.neighbor_pairs()
         assert np.array_equal(rows_i, rows_b)
         assert np.array_equal(cols_i, cols_b)

@@ -11,6 +11,7 @@ import random
 
 import numpy as np
 import pytest
+from oracles import neighbor_table_bruteforce
 
 from repro.field import Field, two_obstacle_field
 from repro.geometry import Vec2
@@ -79,8 +80,8 @@ class TestNeighborTableParity:
         world = random_world(
             trial, with_obstacles=with_obstacles, line_of_sight=line_of_sight
         )
-        brute = world.radio.neighbor_table_bruteforce(world.sensors)
-        assert world.radio.neighbor_table_indexed(world.sensors) == brute
+        brute = neighbor_table_bruteforce(world.radio, world.sensors)
+        assert world.radio.neighbor_table(world.sensors) == brute
         # The world-level (cached) path agrees too — including list order.
         assert world.neighbor_table() == brute
 
@@ -90,8 +91,8 @@ class TestNeighborTableParity:
         rng = random.Random(1000 + trial)
         for sensor in world.sensors:
             sensor.communication_range = rng.uniform(10.0, 80.0)
-        brute = world.radio.neighbor_table_bruteforce(world.sensors)
-        assert world.radio.neighbor_table_indexed(world.sensors) == brute
+        brute = neighbor_table_bruteforce(world.radio, world.sensors)
+        assert world.radio.neighbor_table(world.sensors) == brute
 
 
 class TestBaseStationAndConnectivityParity:
@@ -123,7 +124,7 @@ class TestBaseStationAndConnectivityParity:
         rng = random.Random(2000 + trial)
         for _ in range(5):
             scatter(world, rng, 3)
-            brute = world.radio.neighbor_table_bruteforce(world.sensors)
+            brute = neighbor_table_bruteforce(world.radio, world.sensors)
             assert world.neighbor_table() == brute
             assert world.sensors_near_base_station() == (
                 world.radio.neighbors_of_point(
@@ -139,7 +140,7 @@ class TestBaseStationAndConnectivityParity:
         # Mutating a sensor's range mid-run must not serve the stale table.
         world.sensors[0].communication_range *= 2.0
         after = world.neighbor_table()
-        assert after == world.radio.neighbor_table_bruteforce(world.sensors)
+        assert after == neighbor_table_bruteforce(world.radio, world.sensors)
         assert world.sensors_near_base_station() == (
             world.radio.neighbors_of_point(
                 world.base_station,
@@ -152,8 +153,8 @@ class TestBaseStationAndConnectivityParity:
         clear = obstacle_world.neighbor_table()
         obstacle_world.radio.line_of_sight = True
         blocked = obstacle_world.neighbor_table()
-        assert blocked == obstacle_world.radio.neighbor_table_bruteforce(
-            obstacle_world.sensors
+        assert blocked == neighbor_table_bruteforce(
+            obstacle_world.radio, obstacle_world.sensors
         )
         assert before is not after  # copies, never the same object
 
@@ -190,7 +191,6 @@ class TestCoverageParity:
         rng = random.Random(4000 + trial)
         rs = world.config.sensing_range
         res = world.config.coverage_resolution
-        world.use_incremental_coverage = True
         for _ in range(6):
             brute = world.field.coverage_fraction(world.positions(), rs, res)
             assert world.coverage() == brute

@@ -11,6 +11,7 @@ positions.
 import random
 
 import pytest
+from oracles import BruteWorld
 
 from repro.field import Field, Obstacle
 from repro.geometry import Vec2
@@ -30,10 +31,8 @@ def build_world(positions, seed=1, rc=60.0, cache=True):
         seed=seed,
         clustered_start=False,
     )
-    world = World.create(config, field, initial_positions=positions)
-    world.use_neighbor_cache = cache
-    world.use_incremental_coverage = cache
-    return world
+    world_cls = World if cache else BruteWorld
+    return world_cls.create(config, field, initial_positions=positions)
 
 
 def random_positions(rng, n):
