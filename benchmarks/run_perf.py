@@ -11,7 +11,7 @@ Usage (from the repo root)::
 
 Runs the spatial-subsystem benchmarks (neighbor-table build, CPVF
 periods, coverage re-measurement) plus the sweep-throughput,
-scenario-generation and batched-CPVF entries, asserting fast-path/seed
+scenario-generation, batched-CPVF and FLOOR-period entries, asserting fast-path/seed
 parity (or batched/sequential convergence) while timing, and writes the
 results next to this repository's README so future PRs can track the
 perf trajectory.
@@ -106,6 +106,15 @@ def _print_results(results: dict) -> None:
             f"traced={row['traced_ms']:.2f} ms "
             f"(+{row['overhead_pct']:.1f}%)"
         )
+    for key in ("floor_period_parent", "floor_period"):
+        for row in results.get(key, ()):
+            top = max(row["phases_ms"], key=row["phases_ms"].get)
+            print(
+                f"{key} {row['layout']} n={row['n']}: "
+                f"{row['period_ms']:.1f} ms/period "
+                f"peak={row['peak_rss_mb']:.1f} MB "
+                f"[top phase {top}={row['phases_ms'][top]:.1f} ms]"
+            )
     for row in results.get("cpvf_convergence", ()):
         print(
             f"cpvf_convergence {row['scenario']} n={row['n']}: "

@@ -19,13 +19,14 @@ expansion are defined, in decreasing priority:
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import IntEnum
-from typing import List, Optional, Sequence
+from operator import attrgetter
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..field import Field
 from ..geometry import Circle, Segment, Vec2, circle_circle_intersections
+from ..obs import NULL_TELEMETRY, Telemetry
 from .floors import FloorGeometry
 from .headers import FloorRegistry
 
@@ -53,6 +54,24 @@ class ExpansionPoint:
         return (int(self.kind), self.position.x, self.position.y)
 
 
+@dataclass(frozen=True)
+class _Candidate:
+    """One prospective expansion point awaiting its two coverage tests.
+
+    ``probe`` must be uncovered for the candidate to stand (the frontier
+    point for FLG/BLG, the inter-floor hole probe for IFLG); the EP
+    (``point``, derived from the probe for FLG/BLG) must then be
+    uncovered too.  Each test ignores its own exclude ids.
+    """
+
+    searcher: int
+    kind: ExpansionKind
+    probe: Vec2
+    probe_exclude: Tuple[int, ...]
+    point: Optional[Vec2]
+    point_exclude: Tuple[int, ...]
+
+
 @dataclass
 class ExpansionPlanner:
     """Finds expansion points for fixed sensors of the FLOOR scheme."""
@@ -64,7 +83,7 @@ class ExpansionPlanner:
     expansion_radius: float
 
     # ------------------------------------------------------------------
-    # Public entry point
+    # Public entry points
     # ------------------------------------------------------------------
     def expansion_points(
         self, owner_id: int, position: Vec2
@@ -72,18 +91,85 @@ class ExpansionPlanner:
         """All currently uncovered expansion points of one fixed sensor.
 
         The caller is responsible for accounting the coverage-query message
-        cost; the planner only asks the registry.
+        cost; the planner only asks the registry.  A round of one searcher.
         """
-        points: List[ExpansionPoint] = []
-        points.extend(self._flg_points(owner_id, position))
-        points.extend(self._blg_points(owner_id, position))
-        points.extend(self._iflg_points(owner_id, position))
-        points.sort(key=lambda ep: ep.priority_key())
-        return points
+        return self.round_points([(owner_id, position)])[0]
+
+    def round_points(
+        self,
+        searchers: Sequence[Tuple[int, Vec2]],
+        telemetry: Telemetry = NULL_TELEMETRY,
+    ) -> List[List[ExpansionPoint]]:
+        """Expansion points of every ``(owner_id, position)`` searcher.
+
+        Returns one priority-sorted list per searcher, each equal to what
+        that searcher would find on its own: the registry does not change
+        while a round collects points, so every coverage answer is a pure
+        function of the point and its exclusions.  The round asks the
+        registry twice — once for all frontier points and hole probes,
+        then once for the EPs of the candidates that survived — so EPs
+        are only constructed for live candidates.
+        """
+        with telemetry.span("floor.expansion.candidates"):
+            candidates: List[_Candidate] = []
+            for searcher, (owner_id, position) in enumerate(searchers):
+                self._flg_candidates(searcher, owner_id, position, candidates)
+                self._blg_candidates(searcher, owner_id, position, candidates)
+                self._iflg_candidates(searcher, owner_id, position, candidates)
+        candidates = self._uncovered(
+            candidates, attrgetter("probe", "probe_exclude"), telemetry
+        )
+        with telemetry.span("floor.expansion.candidates"):
+            located: List[_Candidate] = []
+            for candidate in candidates:
+                if candidate.point is None:
+                    ep = self._ep_toward(
+                        searchers[candidate.searcher][1], candidate.probe
+                    )
+                    if ep is None:
+                        continue
+                    candidate = replace(candidate, point=ep)
+                located.append(candidate)
+        located = self._uncovered(
+            located, attrgetter("point", "point_exclude"), telemetry
+        )
+        with telemetry.span("floor.expansion.candidates"):
+            result: List[List[ExpansionPoint]] = [[] for _ in searchers]
+            for candidate in located:
+                owner_id = searchers[candidate.searcher][0]
+                result[candidate.searcher].append(
+                    ExpansionPoint(candidate.point, candidate.kind, owner_id)
+                )
+            for points in result:
+                points.sort(key=lambda ep: ep.priority_key())
+        if telemetry.enabled:
+            telemetry.count("floor.expansion_points", len(located))
+        return result
 
     # ------------------------------------------------------------------
     # Shared helpers
     # ------------------------------------------------------------------
+    def _uncovered(
+        self,
+        candidates: List[_Candidate],
+        tested: Callable[[_Candidate], Tuple[Vec2, Tuple[int, ...]]],
+        telemetry: Telemetry,
+    ) -> List[_Candidate]:
+        """The candidates whose ``tested`` point (and exclusions) the
+        registry reports uncovered, in one batched query."""
+        if not candidates:
+            return []
+        with telemetry.span("floor.expansion.coverage"):
+            tests = [tested(c) for c in candidates]
+            covered = self.registry.covered_points(
+                [p.x for p, _ in tests], [p.y for p, _ in tests],
+                self.sensing_range, [exclude for _, exclude in tests],
+            )
+            kept = [c for c, hit in zip(candidates, covered.tolist()) if not hit]
+        if telemetry.enabled:
+            telemetry.count("floor.coverage_queries", len(candidates))
+        return kept
+
     def _ep_toward(self, position: Vec2, frontier: Vec2) -> Optional[Vec2]:
         """The EP on the expansion circle toward a frontier point."""
         direction = position.towards(frontier)
@@ -98,23 +184,19 @@ class ExpansionPlanner:
             return None
         return candidate
 
-    def _is_uncovered(self, point: Vec2, exclude: Sequence[int]) -> bool:
-        """Whether the registry reports ``point`` as uncovered."""
-        covered, _ = self.registry.is_point_covered(
-            point, self.sensing_range, exclude=exclude
-        )
-        return not covered
-
     # ------------------------------------------------------------------
     # FLG expansion
     # ------------------------------------------------------------------
-    def _flg_points(self, owner_id: int, position: Vec2) -> List[ExpansionPoint]:
+    def _flg_candidates(
+        self, searcher: int, owner_id: int, position: Vec2,
+        out: List[_Candidate],
+    ) -> None:
         sensing_disk = Circle(position, self.sensing_range)
         floor_index = self.floors.floor_index(position.y)
         floor_segment = self.floors.floor_line_segment(floor_index)
         covered_piece = sensing_disk.clip_segment(floor_segment)
         if covered_piece is None or covered_piece.length() <= 1e-9:
-            return []
+            return
         # Frontier points: the endpoints of the covered floor-line piece.  The
         # paper prefers the endpoint farthest from the y axis (largest x); the
         # other endpoint is also examined so that floors seeded in the middle
@@ -122,34 +204,31 @@ class ExpansionPlanner:
         # reach the boundary, where BLG expansion takes over.
         endpoints = [covered_piece.a, covered_piece.b]
         endpoints.sort(key=lambda p: p.x, reverse=True)
-        points: List[ExpansionPoint] = []
         for frontier in endpoints:
             if not self.field.is_free(frontier):
                 continue
-            if not self._is_uncovered(frontier, exclude=[owner_id]):
-                continue
-            ep = self._ep_toward(position, frontier)
-            if ep is not None and self._is_uncovered(ep, exclude=[owner_id]):
-                points.append(ExpansionPoint(ep, ExpansionKind.FLG, owner_id))
-        return points
+            out.append(_Candidate(
+                searcher, ExpansionKind.FLG, frontier, (owner_id,),
+                None, (owner_id,),
+            ))
 
     # ------------------------------------------------------------------
     # BLG expansion
     # ------------------------------------------------------------------
-    def _blg_points(self, owner_id: int, position: Vec2) -> List[ExpansionPoint]:
+    def _blg_candidates(
+        self, searcher: int, owner_id: int, position: Vec2,
+        out: List[_Candidate],
+    ) -> None:
         sensing_disk = Circle(position, self.sensing_range)
         visible = self.field.boundary_segments_within(sensing_disk)
-        points: List[ExpansionPoint] = []
         for segment in visible:
             for frontier in self._boundary_frontier_points(segment, sensing_disk):
                 if not self.field.is_free(frontier):
                     frontier = self.field.nearest_free(frontier)
-                if not self._is_uncovered(frontier, exclude=[owner_id]):
-                    continue
-                ep = self._ep_toward(position, frontier)
-                if ep is not None and self._is_uncovered(ep, exclude=[owner_id]):
-                    points.append(ExpansionPoint(ep, ExpansionKind.BLG, owner_id))
-        return points
+                out.append(_Candidate(
+                    searcher, ExpansionKind.BLG, frontier, (owner_id,),
+                    None, (owner_id,),
+                ))
 
     @staticmethod
     def _boundary_frontier_points(
@@ -166,12 +245,15 @@ class ExpansionPlanner:
     # ------------------------------------------------------------------
     # IFLG expansion
     # ------------------------------------------------------------------
-    def _iflg_points(self, owner_id: int, position: Vec2) -> List[ExpansionPoint]:
+    def _iflg_candidates(
+        self, searcher: int, owner_id: int, position: Vec2,
+        out: List[_Candidate],
+    ) -> None:
         neighbors = self.registry.neighbors_on_floor(
             owner_id, 2.0 * self.expansion_radius
         )
         if not neighbors:
-            return []
+            return
         floor_index = self.floors.floor_index(position.y)
         inter_lines = [
             line
@@ -182,9 +264,8 @@ class ExpansionPlanner:
             if line is not None
         ]
         if not inter_lines:
-            return []
+            return
         my_circle = Circle(position, self.expansion_radius)
-        points: List[ExpansionPoint] = []
         for record in neighbors:
             other_circle = Circle(record.position, self.expansion_radius)
             crossings = circle_circle_intersections(my_circle, other_circle)
@@ -208,14 +289,9 @@ class ExpansionPlanner:
                 hole_probe = Vec2(midpoint_x, hole_lines[0])
                 if not self.field.is_free(hole_probe):
                     continue
-                if not self._is_uncovered(hole_probe, exclude=[]):
-                    continue
                 # The EP itself must not already host (or be promised to)
                 # another node.
-                if self._is_uncovered(
-                    crossing, exclude=[owner_id, record.node_id]
-                ):
-                    points.append(
-                        ExpansionPoint(crossing, ExpansionKind.IFLG, owner_id)
-                    )
-        return points
+                out.append(_Candidate(
+                    searcher, ExpansionKind.IFLG, hole_probe, (),
+                    crossing, (owner_id, record.node_id),
+                ))

@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..field import Field
 from ..geometry import Vec2
@@ -536,90 +536,96 @@ class FloorScheme(DeploymentScheme):
         return sensor.position
 
     def _run_expansion_round(self, world: World) -> None:
-        assert self._expansion is not None and self._registry is not None
-        assert self._invitations is not None
+        assert self._expansion is not None and self._invitations is not None
+        tel = world.telemetry
 
         # 1. Fixed (and virtual) searchers look for expansion points.
-        expansion_points: List[ExpansionPoint] = []
-        exhausted: List[int] = []
-        for searcher_id in sorted(self._active_searchers):
-            position = self._searcher_position(world, searcher_id)
-            if position is None:
-                exhausted.append(searcher_id)
-                continue
-            points = self._expansion.expansion_points(searcher_id, position)
-            if not points:
-                # "If a sensor finds no expansion points on its expansion
-                # circle, then it stops the checking process."
-                exhausted.append(searcher_id)
-                continue
-            # Coverage-status queries to the relevant floor headers: one
-            # query and one response per floor asked, routed over the tree.
-            floors_asked = self._floors.floors_possibly_covering(
-                points[0].position, world.config.sensing_range
-            ) if self._floors is not None else []
-            if floors_asked:
-                world.routing.record_one_hop(
-                    MessageType.COVERAGE_QUERY, len(floors_asked)
-                )
-                world.routing.record_one_hop(
-                    MessageType.COVERAGE_RESPONSE, len(floors_asked)
-                )
-            expansion_points.extend(points)
-        for searcher_id in exhausted:
-            self._active_searchers.discard(searcher_id)
+        with tel.span("floor.expansion.candidates"):
+            searchers: List[Tuple[int, Vec2]] = []
+            exhausted: List[int] = []
+            for searcher_id in sorted(self._active_searchers):
+                position = self._searcher_position(world, searcher_id)
+                if position is None:
+                    exhausted.append(searcher_id)
+                else:
+                    searchers.append((searcher_id, position))
+        found = self._expansion.round_points(searchers, tel)
+        with tel.span("floor.expansion.candidates"):
+            expansion_points: List[ExpansionPoint] = []
+            for (searcher_id, _), points in zip(searchers, found):
+                if not points:
+                    # "If a sensor finds no expansion points on its expansion
+                    # circle, then it stops the checking process."
+                    exhausted.append(searcher_id)
+                    continue
+                # Coverage-status queries to the relevant floor headers: one
+                # query and one response per floor asked, routed over the tree.
+                floors_asked = self._floors.floors_possibly_covering(
+                    points[0].position, world.config.sensing_range
+                ) if self._floors is not None else []
+                if floors_asked:
+                    world.routing.record_one_hop(
+                        MessageType.COVERAGE_QUERY, len(floors_asked)
+                    )
+                    world.routing.record_one_hop(
+                        MessageType.COVERAGE_RESPONSE, len(floors_asked)
+                    )
+                expansion_points.extend(points)
+            for searcher_id in exhausted:
+                self._active_searchers.discard(searcher_id)
 
+            # Expansion priorities (Section 5.5.1): FLG gives the largest
+            # coverage gain per relocation, BLG comes second (it is what
+            # introduces sensors to new floors along boundaries) and IFLG
+            # infill comes last.  Advertising only the highest-priority kind
+            # available in a round keeps movable sensors from being spent on
+            # boundary or infill points while floor-line frontiers are still
+            # open.
+            for kind in (
+                ExpansionKind.FLG, ExpansionKind.BLG, ExpansionKind.IFLG
+            ):
+                of_kind = [ep for ep in expansion_points if ep.kind is kind]
+                if of_kind:
+                    expansion_points = of_kind
+                    break
         if not expansion_points:
             return
 
-        # Expansion priorities (Section 5.5.1): FLG gives the largest coverage
-        # gain per relocation, BLG comes second (it is what introduces
-        # sensors to new floors along boundaries) and IFLG infill comes last.
-        # Advertising only the highest-priority kind available in a round
-        # keeps movable sensors from being spent on boundary or infill
-        # points while floor-line frontiers are still open.
-        for kind in (ExpansionKind.FLG, ExpansionKind.BLG, ExpansionKind.IFLG):
-            of_kind = [ep for ep in expansion_points if ep.kind is kind]
-            if of_kind:
-                expansion_points = of_kind
-                break
-
-        # 2. One invitation round matches EPs with movable sensors.
-        movable = [
-            s
-            for s in world.sensors
-            if s.state is SensorState.MOVABLE
-            and s.sensor_id not in self._relocations
-            and s.sensor_id not in self._pending_movables
-        ]
-        connected_count = len(world.connected_sensor_ids())
-        if world.telemetry.enabled:
-            # One invitation walk starts per advertised expansion point.
-            world.telemetry.count(
-                "floor.invitations_issued", len(expansion_points)
+        with tel.span("floor.invitations"):
+            # 2. One invitation round matches EPs with movable sensors.
+            movable = [
+                s
+                for s in world.sensors
+                if s.state is SensorState.MOVABLE
+                and s.sensor_id not in self._relocations
+                and s.sensor_id not in self._pending_movables
+            ]
+            connected_count = len(world.connected_sensor_ids())
+            if tel.enabled:
+                # One invitation walk starts per advertised expansion point.
+                tel.count("floor.invitations_issued", len(expansion_points))
+            assignments = self._invitations.run_round(
+                expansion_points, movable, connected_count, world.tree,
+                world=world,
             )
-        assignments = self._invitations.run_round(
-            expansion_points, movable, connected_count, world.tree,
-            world=world,
-        )
-        world.telemetry.count("floor.relocations_started", len(assignments))
+            tel.count("floor.relocations_started", len(assignments))
 
-        # 3. Accepted movable sensors start relocating — immediately on
-        #    the perfect network, after ``latency`` periods otherwise.
-        net = world.network
-        for assignment in assignments:
-            if net.latency > 0:
-                world.stats.record_net("delayed", net.latency)
-                self._deferred_starts.append((
-                    world.period_index + net.latency,
-                    assignment.movable_id,
-                    assignment.expansion_point,
-                ))
-                self._pending_movables.add(assignment.movable_id)
-            else:
-                self._start_relocation(
-                    world, assignment.movable_id, assignment.expansion_point
-                )
+            # 3. Accepted movable sensors start relocating — immediately on
+            #    the perfect network, after ``latency`` periods otherwise.
+            net = world.network
+            for assignment in assignments:
+                if net.latency > 0:
+                    world.stats.record_net("delayed", net.latency)
+                    self._deferred_starts.append((
+                        world.period_index + net.latency,
+                        assignment.movable_id,
+                        assignment.expansion_point,
+                    ))
+                    self._pending_movables.add(assignment.movable_id)
+                else:
+                    self._start_relocation(
+                        world, assignment.movable_id, assignment.expansion_point
+                    )
 
     def _start_relocation(
         self, world: World, movable_id: int, ep: ExpansionPoint

@@ -13,18 +13,22 @@ point-coverage queries, and reports which floor a node belongs to so the
 scheme can account the query / response message costs on the tree.
 
 The coverage and same-floor-neighbour queries are the hot loop of FLOOR's
-phase-3 expansion search (every active searcher probes several candidate
-points per period, each probe scanning the records of every floor in
-range), so they are served from a :class:`~repro.spatial.index.SpatialIndex`
-rebuilt lazily whenever the records change.  Randomized parity tests pin
-the indexed queries against an exhaustive per-floor scan kept in
-``tests/oracles.py``.
+phase-3 expansion search, so they are served from a
+:class:`~repro.spatial.index.SpatialIndex` rebuilt lazily whenever the
+records change.  The records stay frozen while a round collects expansion
+points, so the round asks :meth:`FloorRegistry.covered_points` once per
+stage for every candidate point of every searcher (one vectorised
+multi-point radius query); :meth:`FloorRegistry.is_point_covered` is the
+same query for a batch of one.  Randomized parity tests pin the indexed
+queries against an exhaustive per-floor scan kept in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..geometry import Vec2
 from ..spatial import SpatialIndex
@@ -54,6 +58,14 @@ class FloorRegistry:
     #: ``(floor_index, record)`` in index order, parallel to the index store.
     _index_records: List[Tuple[int, FloorRecord]] = field(
         default_factory=list, init=False, repr=False, compare=False
+    )
+    #: Node id and floor-line y of each indexed record, in index order.
+    _index_ids: np.ndarray = field(
+        default_factory=lambda: np.empty(0, dtype=np.int64),
+        init=False, repr=False, compare=False,
+    )
+    _index_line_y: np.ndarray = field(
+        default_factory=lambda: np.empty(0), init=False, repr=False, compare=False
     )
     _index_dirty: bool = field(default=True, init=False, repr=False, compare=False)
 
@@ -133,11 +145,54 @@ class FloorRegistry:
             for floor_index, floor_records in self._records.items()
             for record in floor_records.values()
         ]
+        self._index_ids = np.array(
+            [r.node_id for _, r in self._index_records], dtype=np.int64
+        )
+        self._index_line_y = np.array(
+            [self.floors.floor_line_y(f) for f, _ in self._index_records],
+            dtype=float,
+        )
         index = SpatialIndex(cell_size=max(self.floors.floor_height, 1e-9))
         index.build([(r.position.x, r.position.y) for _, r in self._index_records])
         self._index = index
         self._index_dirty = False
         return index
+
+    def covered_points(
+        self,
+        xs: Sequence[float],
+        ys: Sequence[float],
+        sensing_range: float,
+        excludes: Sequence[Sequence[int]],
+    ) -> np.ndarray:
+        """Coverage of a batch of points by registered nodes.
+
+        Point ``k`` is covered when some record within
+        ``sensing_range + 1e-9`` of it lies on a floor the point could ask
+        (:meth:`FloorGeometry.floors_possibly_covering`) and is not one of
+        the ids in ``excludes[k]``.  All points are answered by one
+        multi-point radius query over the registry's spatial index.
+        """
+        px = np.asarray(xs, dtype=float)
+        py = np.asarray(ys, dtype=float)
+        covered = np.zeros(px.shape, dtype=bool)
+        index = self._ensure_index()
+        reach = sensing_range + 1e-9
+        queries, hits = index.query_radius_many(px, py, reach)
+        if queries.size == 0:
+            return covered
+        ids = self._index_ids[hits]
+        keep = np.abs(self._index_line_y[hits] - py[queries]) <= reach
+        width = max((len(ex) for ex in excludes), default=0)
+        if width:
+            # Pad every exclusion list to one width with an id no record has.
+            pad = int(self._index_ids.min()) - 1
+            table = np.full((len(excludes), width), pad, dtype=np.int64)
+            for k, ex in enumerate(excludes):
+                table[k, : len(ex)] = ex
+            keep &= ~(table[queries] == ids[:, None]).any(axis=1)
+        covered[queries[keep]] = True
+        return covered
 
     def is_point_covered(
         self,
@@ -150,18 +205,16 @@ class FloorRegistry:
         Returns ``(covered, floors_queried)`` where ``floors_queried`` lists
         the floor indices a distributed implementation would have had to ask
         (used by the scheme to account query/response messages).  Nodes in
-        ``exclude`` (typically the asking sensor itself) are ignored.
+        ``exclude`` (typically the asking sensor itself) are ignored.  A
+        batch of one through :meth:`covered_points`.
         """
-        excluded = set(exclude)
-        floors_to_ask = self.floors.floors_possibly_covering(point, sensing_range)
-        askable = set(floors_to_ask)
-        index = self._ensure_index()
-        for i in index.query_radius(point, sensing_range + 1e-9):
-            floor_index, record = self._index_records[i]
-            if record.node_id in excluded or floor_index not in askable:
-                continue
-            return True, floors_to_ask
-        return False, floors_to_ask
+        covered = self.covered_points(
+            [point.x], [point.y], sensing_range, [tuple(exclude)]
+        )
+        return (
+            bool(covered[0]),
+            self.floors.floors_possibly_covering(point, sensing_range),
+        )
 
     def neighbors_on_floor(
         self, node_id: int, radius: float

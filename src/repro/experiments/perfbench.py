@@ -16,13 +16,15 @@ tracks the perf trajectory across PRs.
 from __future__ import annotations
 
 import math
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
 from ..api import SweepRunner, default_job_count
-from ..core import CPVFScheme
+from ..core import CPVFScheme, FloorScheme
 from ..core import connectivity as _connectivity
 from ..core import cpvf as _cpvf_module
 from ..sim import World
@@ -36,6 +38,7 @@ __all__ = [
     "measure_cpvf_period",
     "measure_cpvf_period_scale",
     "measure_telemetry_overhead",
+    "measure_floor_period",
     "measure_cpvf_convergence",
     "measure_coverage",
     "measure_sweep_throughput",
@@ -317,6 +320,99 @@ def measure_cpvf_period_scale(
         ),
         "phases_ms": phases,
         "counters_per_period": counters_per_period,
+    }
+
+
+# ----------------------------------------------------------------------
+# FLOOR periods
+# ----------------------------------------------------------------------
+def _floor_periods(
+    n: int, seed: int, periods: int, telemetry=None
+) -> Dict[str, object]:
+    """Mean seconds per FLOOR period on the two-obstacle layout.
+
+    The field grows with sqrt(n) from 500 m at n = 200, so every row sees
+    the same sensor density; the horizon is ``periods`` (phase 2 starts by
+    a quarter of it), so the timed window covers connection walks and
+    expansion rounds.  ``telemetry`` is installed after initialisation.
+    """
+    field_size = 500.0 * math.sqrt(n / 200.0)
+    scale = ExperimentScale(
+        field_size=field_size, sensor_count=n, duration=float(periods)
+    )
+    config = make_config(scale, sensor_count=n, seed=seed)
+    world = make_world(config, scale, with_obstacles=True)
+    scheme = FloorScheme()
+    scheme.initialize(world)
+    if telemetry is not None:
+        world.telemetry = telemetry
+    start = time.perf_counter()
+    for period in range(periods):
+        world.period_index = period
+        scheme.step(world)
+        world.time += config.period
+    return {
+        "seconds": (time.perf_counter() - start) / periods,
+        "positions": [(s.position.x, s.position.y) for s in world.sensors],
+    }
+
+
+def _floor_period_child(n: int, seed: int, periods: int) -> Dict[str, object]:
+    """One untraced and one traced FLOOR pass in a fresh process.
+
+    Returns the untraced period time, the peak RSS of the untraced pass,
+    and the traced pass's phases and counters.  Also asserts the traced
+    pass follows the identical trajectory (telemetry must not perturb it).
+    """
+    import resource
+
+    from ..obs import Telemetry
+
+    untraced = _floor_periods(n, seed, periods)
+    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    tel = Telemetry()
+    traced = _floor_periods(n, seed, periods, telemetry=tel)
+    if traced["positions"] != untraced["positions"]:
+        raise AssertionError("traced FLOOR run diverged from the untraced run")
+    summary = tel.summary()
+    return {
+        "seconds": untraced["seconds"],
+        "peak_rss_mb": peak_kb / 1024.0,
+        "phases_ms": {
+            name: stat.seconds / periods * 1000.0
+            for name, stat in sorted(summary.phases.items())
+        },
+        "counters_per_period": {
+            name: value / periods
+            for name, value in sorted(summary.counters.items())
+            if name.startswith("floor.")
+        },
+    }
+
+
+def measure_floor_period(
+    n: int, seed: int = 3, periods: int = None
+) -> Dict[str, object]:
+    """Cost of one FLOOR period (two-obstacle layout) with its breakdown.
+
+    Runs in a spawned child process so ``peak_rss_mb`` is this row's own
+    high-water mark, not the benchmark process's.  ``phases_ms`` is
+    milliseconds per period per span from a second, traced pass.
+    """
+    if periods is None:
+        periods = 120 if n <= 200 else 60
+    with ProcessPoolExecutor(
+        max_workers=1, mp_context=multiprocessing.get_context("spawn")
+    ) as pool:
+        child = pool.submit(_floor_period_child, n, seed, periods).result()
+    return {
+        "n": n,
+        "layout": "two-obstacle",
+        "periods": periods,
+        "period_ms": child["seconds"] * 1000.0,
+        "peak_rss_mb": child["peak_rss_mb"],
+        "phases_ms": child["phases_ms"],
+        "counters_per_period": child["counters_per_period"],
     }
 
 
@@ -791,6 +887,8 @@ def measure_degraded_coverage(
 #: the large-scale three-mode CPVF rows.
 DEFAULT_NS = (100, 500, 1000)
 SCALE_NS = (2000, 5000, 10000)
+#: Populations of the FLOOR period rows.
+FLOOR_NS = (200, 1000)
 
 #: Entry name -> builder ``(ns, seed) -> value``; ``run_perf_suite`` and
 #: the ``run_perf.py --only`` flag both draw from this table.
@@ -807,6 +905,9 @@ PERF_ENTRIES: Dict[str, Callable] = {
             else measure_cpvf_period_scale(n, seed=seed)
         )
         for n in ns
+    ],
+    "floor_period": lambda ns, seed: [
+        measure_floor_period(n, seed=seed) for n in FLOOR_NS
     ],
     "cpvf_convergence": lambda ns, seed: [measure_cpvf_convergence(seed=seed)],
     "telemetry_overhead": lambda ns, seed: [

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -66,6 +67,7 @@ class Field:
         if self.width <= 0 or self.height <= 0:
             raise ValueError("field dimensions must be positive")
         self._grid_cache: dict[float, Tuple[CoverageGrid, np.ndarray]] = {}
+        self._boundary = Polygon.rectangle(0.0, 0.0, self.width, self.height)
         #: Bumped on every obstacle mutation; consumers caching rasterised
         #: masks or visibility answers key their epochs on it.
         self.version: int = 0
@@ -99,11 +101,11 @@ class Field:
 
     def boundary_polygon(self) -> Polygon:
         """The field rectangle as a polygon."""
-        return Polygon.rectangle(0.0, 0.0, self.width, self.height)
+        return self._boundary
 
-    def boundary_edges(self) -> List[Segment]:
+    def boundary_edges(self) -> Tuple[Segment, ...]:
         """The four edges of the field rectangle."""
-        return self.boundary_polygon().edges()
+        return self._boundary.edges()
 
     def area(self) -> float:
         """Total rectangle area (including obstacle area)."""
@@ -329,9 +331,10 @@ class Field:
         to the sensing disk.
         """
         segments: List[Segment] = []
-        candidate_edges: List[Segment] = list(self.boundary_edges())
-        for ob in self.obstacles:
-            candidate_edges.extend(ob.boundary_edges())
+        candidate_edges = chain(
+            self._boundary.edges(),
+            *(ob.boundary_edges() for ob in self.obstacles),
+        )
         for edge in candidate_edges:
             clipped = circle.clip_segment(edge)
             if clipped is not None and clipped.length() > 1e-9:

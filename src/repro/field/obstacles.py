@@ -9,7 +9,7 @@ the evaluation (Figures 3(c), 8(c), 13 and Table 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from ..geometry import Polygon, Segment, Vec2
 
@@ -64,8 +64,8 @@ class Obstacle:
         """Whether a straight move along ``seg`` would enter the obstacle."""
         return self.polygon.segment_crosses_interior(seg)
 
-    def boundary_edges(self) -> List[Segment]:
-        """The obstacle boundary as a list of edges."""
+    def boundary_edges(self) -> Tuple[Segment, ...]:
+        """The obstacle boundary as a tuple of edges."""
         return self.polygon.edges()
 
     def perimeter(self) -> float:

@@ -8,7 +8,8 @@ shapes used in the paper (rectangles, convex cells, irregular obstacles).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Sequence, Tuple
 
 from .segment import Segment, on_segment, orientation
@@ -16,10 +17,19 @@ from .vec import EPS, Vec2
 
 __all__ = ["Polygon"]
 
+#: Widening of the bounding box outside which :meth:`Polygon.contains`
+#: answers ``False`` without testing edges.  Any margin above the 1e-7
+#: boundary tolerance is exact (see the method's docstring).
+_BOX_SLACK = 1e-6
+
 
 @dataclass(frozen=True)
 class Polygon:
-    """A simple polygon given by its vertices in order (either winding)."""
+    """A simple polygon given by its vertices in order (either winding).
+
+    The edge tuple and bounding box are derived once per instance (the
+    polygon is immutable) and reused by every point and segment query.
+    """
 
     vertices: Tuple[Vec2, ...]
 
@@ -71,7 +81,7 @@ class Polygon:
 
     def perimeter(self) -> float:
         """Total boundary length."""
-        return sum(edge.length() for edge in self.edges())
+        return sum(edge.length() for edge in self._edges)
 
     def centroid(self) -> Vec2:
         """Area centroid of the polygon."""
@@ -92,18 +102,26 @@ class Polygon:
         factor = 1.0 / (6.0 * signed)
         return Vec2(cx * factor, cy * factor)
 
-    def bounding_box(self) -> Tuple[float, float, float, float]:
-        """``(xmin, ymin, xmax, ymax)`` of the polygon."""
+    @cached_property
+    def _bounding_box(self) -> Tuple[float, float, float, float]:
         xs = [v.x for v in self.vertices]
         ys = [v.y for v in self.vertices]
         return (min(xs), min(ys), max(xs), max(ys))
 
-    def edges(self) -> List[Segment]:
-        """The boundary edges in vertex order."""
+    @cached_property
+    def _edges(self) -> Tuple[Segment, ...]:
         n = len(self.vertices)
-        return [
+        return tuple(
             Segment(self.vertices[i], self.vertices[(i + 1) % n]) for i in range(n)
-        ]
+        )
+
+    def bounding_box(self) -> Tuple[float, float, float, float]:
+        """``(xmin, ymin, xmax, ymax)`` of the polygon."""
+        return self._bounding_box
+
+    def edges(self) -> Tuple[Segment, ...]:
+        """The boundary edges in vertex order."""
+        return self._edges
 
     def is_convex(self) -> bool:
         """``True`` when the polygon is convex (collinear runs allowed)."""
@@ -133,7 +151,23 @@ class Polygon:
     # Point queries
     # ------------------------------------------------------------------
     def contains(self, p: Vec2, include_boundary: bool = True) -> bool:
-        """Point-in-polygon test (ray casting with boundary handling)."""
+        """Point-in-polygon test (ray casting with boundary handling).
+
+        A point farther than ``_BOX_SLACK`` outside the bounding box is
+        rejected before any edge is examined.  The shortcut is exact: every
+        edge lies inside the box, so the point is more than the 1e-7
+        boundary tolerance from each of them, and its ray crosses either no
+        edge (the point is above, below or right of the box) or every edge
+        spanning its height (left of the box) — an even number, because
+        the "vertex above the ray" flag changes sign in pairs around a
+        closed cycle.
+        """
+        xmin, ymin, xmax, ymax = self._bounding_box
+        if not (
+            xmin - _BOX_SLACK <= p.x <= xmax + _BOX_SLACK
+            and ymin - _BOX_SLACK <= p.y <= ymax + _BOX_SLACK
+        ):
+            return False
         if self.on_boundary(p):
             return include_boundary
         inside = False
@@ -149,7 +183,7 @@ class Polygon:
 
     def on_boundary(self, p: Vec2, eps: float = 1e-7) -> bool:
         """Whether ``p`` lies on the polygon's boundary."""
-        return any(edge.distance_to_point(p) <= eps for edge in self.edges())
+        return any(edge.distance_to_point(p) <= eps for edge in self._edges)
 
     def contains_points(
         self, px, py, include_boundary: bool = True, eps: float = 1e-7
@@ -197,17 +231,17 @@ class Polygon:
         """Distance from ``p`` to the polygon (zero when inside)."""
         if self.contains(p):
             return 0.0
-        return min(edge.distance_to_point(p) for edge in self.edges())
+        return min(edge.distance_to_point(p) for edge in self._edges)
 
     def boundary_distance_to_point(self, p: Vec2) -> float:
         """Distance from ``p`` to the polygon *boundary* (even when inside)."""
-        return min(edge.distance_to_point(p) for edge in self.edges())
+        return min(edge.distance_to_point(p) for edge in self._edges)
 
     def closest_boundary_point(self, p: Vec2) -> Vec2:
         """Closest point of the polygon boundary to ``p``."""
         best = None
         best_dist = math.inf
-        for edge in self.edges():
+        for edge in self._edges:
             candidate = edge.closest_point(p)
             dist = candidate.distance_to(p)
             if dist < best_dist:
@@ -223,7 +257,7 @@ class Polygon:
         """Whether the segment touches the polygon (boundary or interior)."""
         if self.contains(seg.a) or self.contains(seg.b):
             return True
-        return any(edge.intersects(seg) for edge in self.edges())
+        return any(edge.intersects(seg) for edge in self._edges)
 
     def segment_crosses_interior(self, seg: Segment, samples: int = 8) -> bool:
         """Whether the open segment passes through the polygon's interior.
@@ -237,7 +271,7 @@ class Polygon:
             p = seg.point_at(t)
             if self.contains(p, include_boundary=False):
                 return True
-        crossings = [edge for edge in self.edges() if edge.intersects(seg)]
+        crossings = [edge for edge in self._edges if edge.intersects(seg)]
         if len(crossings) >= 2:
             midpoint = seg.midpoint()
             if self.contains(midpoint, include_boundary=False):
@@ -247,7 +281,7 @@ class Polygon:
     def segment_intersections(self, seg: Segment) -> List[Vec2]:
         """All boundary intersection points with a segment, ordered along it."""
         points: List[Vec2] = []
-        for edge in self.edges():
+        for edge in self._edges:
             p = edge.intersection(seg)
             if p is not None and not any(p.almost_equals(q) for q in points):
                 points.append(p)

@@ -182,6 +182,64 @@ class SpatialIndex:
         hits.sort()
         return hits
 
+    def query_radius_many(
+        self, px: np.ndarray, py: np.ndarray, r: float
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`query_radius` for a batch of query points at once.
+
+        Returns ``(queries, hits)``: every pair of a query position into
+        ``px``/``py`` and an indexed point with ``d2 <= r*r`` (the same
+        cell window and the same exact predicate as the scalar query).
+        Vectorised like :meth:`_candidate_pairs` — one gather per cell
+        row a query touches — so memory is O(candidate pairs), never
+        O(queries x points).  Pairs are grouped by query, ascending.
+        """
+        empty = np.empty(0, dtype=np.intp)
+        px = np.asarray(px, dtype=float)
+        py = np.asarray(py, dtype=float)
+        if self._n == 0 or r < 0 or px.size == 0:
+            return empty, empty
+        cs = self.cell_size
+        reach_r = r * (1.0 + _GEOM_SLACK) + _GEOM_SLACK
+        mx, my = self._min_cell
+        cx0 = np.maximum(np.floor((px - reach_r) / cs).astype(np.int64) - mx, 0)
+        cx1 = np.minimum(
+            np.floor((px + reach_r) / cs).astype(np.int64) - mx, self._nx - 1
+        )
+        cy0 = np.maximum(np.floor((py - reach_r) / cs).astype(np.int64) - my, 0)
+        cy1 = np.minimum(
+            np.floor((py + reach_r) / cs).astype(np.int64) - my, self._ny - 1
+        )
+        rows_per_query = np.where(cy0 <= cy1, np.maximum(cx1 - cx0 + 1, 0), 0)
+        total_rows = int(rows_per_query.sum())
+        if total_rows == 0:
+            return empty, empty
+        # One (query, cell row) entry per row a query's window covers.
+        query = np.repeat(np.arange(px.size, dtype=np.intp), rows_per_query)
+        row_shift = np.arange(total_rows, dtype=np.int64) - np.repeat(
+            np.cumsum(rows_per_query) - rows_per_query, rows_per_query
+        )
+        tx = cx0[query] + row_shift
+        ukeys = self._unique_keys
+        lo = np.searchsorted(ukeys, tx * self._ny + cy0[query], side="left")
+        hi = np.searchsorted(ukeys, tx * self._ny + cy1[query], side="right")
+        occupied = hi > lo
+        query, lo, hi = query[occupied], lo[occupied], hi[occupied]
+        slice_start = self._starts[lo]
+        lengths = self._ends[hi - 1] - slice_start
+        total = int(lengths.sum())
+        if total == 0:
+            return empty, empty
+        queries = np.repeat(query, lengths)
+        shift = np.arange(total, dtype=np.intp) - np.repeat(
+            np.cumsum(lengths) - lengths, lengths
+        )
+        cand = self._order[np.repeat(slice_start, lengths) + shift]
+        dx = self._x[cand] - px[queries]
+        dy = self._y[cand] - py[queries]
+        keep = dx * dx + dy * dy <= r * r
+        return queries[keep], cand[keep]
+
     def _candidate_pairs(self, reach: int) -> Tuple[np.ndarray, np.ndarray]:
         """Directed candidate pairs ``(rows, cols)`` from nearby cells.
 

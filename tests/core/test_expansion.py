@@ -125,3 +125,71 @@ class TestIFLG:
 class TestPriorityKey:
     def test_priority_order_values(self):
         assert int(ExpansionKind.FLG) < int(ExpansionKind.BLG) < int(ExpansionKind.IFLG)
+
+
+class TestRoundParity:
+    """One batched round equals every searcher searching on its own."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_round_points_match_sequential_search(self, seed):
+        import random
+
+        from oracles import ScanFloorRegistry, SequentialExpansionPlanner
+
+        from repro.field.layouts import (
+            corridor_field,
+            obstacle_free_field,
+            two_obstacle_field,
+        )
+
+        rng = random.Random(seed)
+        field = [obstacle_free_field, two_obstacle_field, corridor_field][
+            seed % 3
+        ](1000.0)
+        planner, registry = make_planner(field)
+        scan = ScanFloorRegistry(registry.floors)
+        oracle = SequentialExpansionPlanner(
+            field=field,
+            floors=scan.floors,
+            registry=scan,
+            sensing_range=planner.sensing_range,
+            expansion_radius=planner.expansion_radius,
+        )
+        searchers = []
+        for node_id in range(60):
+            # Mostly on floor lines (as relocated sensors sit), some off.
+            floor = rng.randrange(registry.floors.floor_count)
+            y = registry.floors.floor_line_y(floor)
+            if rng.random() < 0.3:
+                y += rng.uniform(-30.0, 30.0)
+            pos = field.nearest_free(Vec2(rng.uniform(0.0, 1000.0), y))
+            virtual = rng.random() < 0.2
+            registry.register(node_id, pos, virtual=virtual)
+            scan.register(node_id, pos, virtual=virtual)
+            if rng.random() < 0.7:
+                searchers.append((node_id, pos))
+        # A searcher the registry does not know (no IFLG neighbours).
+        searchers.append((999, Vec2(20.0, 40.0)))
+
+        batched = planner.round_points(searchers)
+        sequential = oracle.round_points(searchers)
+        assert batched == sequential
+        kinds = {p.kind for points in batched for p in points}
+        assert kinds == set(ExpansionKind)
+        for (owner, pos), points in zip(searchers, batched):
+            assert planner.expansion_points(owner, pos) == points
+
+    def test_round_counts_queries_and_points(self):
+        from repro.obs import Telemetry
+
+        planner, registry = make_planner()
+        registry.register(0, Vec2(500, 40))
+        registry.register(1, Vec2(540, 40))
+        tel = Telemetry()
+        found = planner.round_points([(0, Vec2(500, 40)), (1, Vec2(540, 40))], tel)
+        summary = tel.summary()
+        assert summary.counters["floor.expansion_points"] == sum(map(len, found))
+        assert summary.counters["floor.coverage_queries"] > 0
+        assert {"floor.expansion.candidates", "floor.expansion.coverage"} <= set(
+            summary.phases
+        )

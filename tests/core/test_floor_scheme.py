@@ -174,3 +174,31 @@ class TestObstacleExitCorrection:
             s.sensor_id for s in world.sensors if not world.field.is_free(s.position)
         ]
         assert stuck == []
+
+
+class TestExpansionSpans:
+    def test_child_spans_cover_the_expansion_round(self):
+        from repro.api import ScenarioSpec
+        from repro.obs import Telemetry
+
+        scenario = ScenarioSpec(
+            field_size=300.0, layout="two-obstacle", sensor_count=24,
+            duration=40.0, coverage_resolution=15.0, seed=1,
+        )
+        world = scenario.build_world(scenario.build_field())
+        result = SimulationEngine(
+            world, FloorScheme(), trace_every=None, telemetry=Telemetry()
+        ).run()
+        phases = result.telemetry.phases
+        children = sum(
+            phases[name].seconds
+            for name in (
+                "floor.expansion.candidates",
+                "floor.expansion.coverage",
+                "floor.invitations",
+            )
+        )
+        assert children >= 0.95 * phases["floor.expansion_round"].seconds
+        counters = result.telemetry.counters
+        assert counters["floor.coverage_queries"] > 0
+        assert counters["floor.expansion_points"] > 0

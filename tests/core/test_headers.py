@@ -162,3 +162,55 @@ class TestSpatialIndexParity:
             slow = brute.neighbors_on_floor(node_id, radius)
             assert [r.node_id for r in fast] == [r.node_id for r in slow]
             assert fast == slow
+
+    @pytest.mark.parametrize("seed", [3, 19, 71])
+    def test_covered_points_batch_parity(self, seed):
+        """One batched query answers every point like the scan, per point."""
+        import random
+
+        rng = random.Random(seed)
+        indexed, brute = self._random_registries(rng, n=120)
+        rs = 40.0
+        reach = rs + 1e-9
+        records = indexed.all_records()
+        points, excludes = [], []
+        for _ in range(300):
+            points.append(Vec2(rng.uniform(-50, 1050), rng.uniform(-50, 1050)))
+        for record in rng.sample(records, 60):
+            # Probes at exactly rs + 1e-9 from a record, on each axis side.
+            dx, dy = rng.choice([(reach, 0.0), (-reach, 0.0), (0.0, reach),
+                                 (0.0, -reach)])
+            points.append(Vec2(record.position.x + dx, record.position.y + dy))
+        for _ in points:
+            width = rng.choice([0, 1, 2])
+            if width and rng.random() < 0.5:
+                # Exclude registered ids, not only arbitrary ones.
+                excludes.append(tuple(r.node_id for r in rng.sample(records, width)))
+            else:
+                excludes.append(tuple(rng.sample(range(120), width)))
+        xs = [p.x for p in points]
+        ys = [p.y for p in points]
+        fast = indexed.covered_points(xs, ys, rs, excludes)
+        slow = [
+            brute.is_point_covered(p, rs, exclude=ex)[0]
+            for p, ex in zip(points, excludes)
+        ]
+        assert fast.tolist() == slow
+        assert 0 < sum(slow) < len(slow)
+        for p, ex, hit in zip(points, excludes, slow):
+            assert indexed.is_point_covered(p, rs, exclude=ex) == (
+                hit, brute.floors.floors_possibly_covering(p, rs)
+            )
+
+    def test_covered_points_honours_floor_and_exclusions(self):
+        registry = make_registry(rs=40.0)
+        registry.register(1, Vec2(100, 40))  # floor 0, line y=40
+        registry.register(2, Vec2(100, 119))  # floor 1, line y=120
+        xs, ys = [100, 100, 100, 100], [79.0, 79.0, 81.0, 81.0]
+        excludes = [(), (1,), (), (2, 1)]
+        # y=79 can ask floor 0 only (|120-79| > 40): node 2 is 40 m away
+        # but filed on a floor the point does not query.
+        assert registry.covered_points(xs, ys, 40.0, excludes).tolist() == [
+            True, False, True, False
+        ]
+        assert registry.covered_points([], [], 40.0, []).tolist() == []

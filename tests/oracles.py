@@ -11,8 +11,14 @@ parity tests can keep pinning exact agreement:
   coverage queries recompute from scratch through those scans and
   ``Field.coverage_fraction`` (no neighbour cache, pair store or
   incremental coverage tracker).
+* :func:`polygon_contains` / :func:`polygon_on_boundary` — the
+  point-in-polygon test rebuilding its edges per call, without the
+  bounding-box rejection :meth:`Polygon.contains` applies first.
 * :class:`ScanFloorRegistry` — the exhaustive per-floor scan behind
-  :class:`FloorRegistry`'s indexed queries.
+  :class:`FloorRegistry`'s indexed queries (batched and scalar).
+* :class:`SequentialExpansionPlanner` — FLOOR's expansion search one
+  searcher at a time, one registry query per probe point, instead of the
+  two batched queries of :meth:`ExpansionPlanner.round_points`.
 * :class:`ScalarWalkInvitations` — one scalar tree walk per invitation
   route instead of the batched :class:`TreeWalkIndex`.
 * :class:`SerialRepairCPVF` — batched CPVF with the serialized repair
@@ -25,22 +31,62 @@ from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
-from repro.core import CPVFScheme, FloorRegistry, InvitationProtocol
+from repro.core import (
+    CPVFScheme,
+    ExpansionKind,
+    ExpansionPlanner,
+    ExpansionPoint,
+    FloorRegistry,
+    InvitationProtocol,
+)
 from repro.core.connectivity import max_valid_step_points
-from repro.geometry import Segment, Vec2
+from repro.geometry import Circle, Segment, Vec2, circle_circle_intersections
 from repro.network import MessageType
 from repro.network.radio import LINK_EPS
 from repro.sim import World
 from repro.spatial.cache import pairs_from_table
 
 __all__ = [
+    "polygon_contains",
+    "polygon_on_boundary",
     "neighbor_table_bruteforce",
     "neighbors_of_point_bruteforce",
     "BruteWorld",
     "ScanFloorRegistry",
+    "SequentialExpansionPlanner",
     "ScalarWalkInvitations",
     "SerialRepairCPVF",
 ]
+
+
+# ----------------------------------------------------------------------
+# Polygon point tests
+# ----------------------------------------------------------------------
+def polygon_on_boundary(polygon, p: Vec2, eps: float = 1e-7) -> bool:
+    """Whether ``p`` lies within ``eps`` of an edge (edges built per call)."""
+    vertices = polygon.vertices
+    n = len(vertices)
+    return any(
+        Segment(vertices[i], vertices[(i + 1) % n]).distance_to_point(p) <= eps
+        for i in range(n)
+    )
+
+
+def polygon_contains(polygon, p: Vec2, include_boundary: bool = True) -> bool:
+    """Ray-casting point-in-polygon test over every edge, no prefilter."""
+    if polygon_on_boundary(polygon, p):
+        return include_boundary
+    inside = False
+    vertices = polygon.vertices
+    n = len(vertices)
+    for i in range(n):
+        a = vertices[i]
+        b = vertices[(i + 1) % n]
+        if (a.y > p.y) != (b.y > p.y):
+            x_cross = a.x + (p.y - a.y) * (b.x - a.x) / (b.y - a.y)
+            if p.x < x_cross:
+                inside = not inside
+    return inside
 
 
 # ----------------------------------------------------------------------
@@ -141,6 +187,12 @@ class BruteWorld(World):
 class ScanFloorRegistry(FloorRegistry):
     """Floor registry answering spatial queries by exhaustive scan."""
 
+    def covered_points(self, xs, ys, sensing_range, excludes):
+        return np.array([
+            self.is_point_covered(Vec2(x, y), sensing_range, exclude)[0]
+            for x, y, exclude in zip(xs, ys, excludes)
+        ], dtype=bool)
+
     def is_point_covered(self, point, sensing_range, exclude=()):
         excluded = set(exclude)
         floors_to_ask = self.floors.floors_possibly_covering(point, sensing_range)
@@ -166,6 +218,106 @@ class ScanFloorRegistry(FloorRegistry):
             if r.node_id != node_id
             and r.position.distance_to(me.position) <= radius + 1e-9
         ]
+
+
+class SequentialExpansionPlanner(ExpansionPlanner):
+    """Expansion search asking the registry once per probe, per searcher."""
+
+    def round_points(self, searchers, telemetry=None):
+        return [self._search(owner, position) for owner, position in searchers]
+
+    def _search(self, owner_id, position):
+        points = []
+        points.extend(self._flg_points(owner_id, position))
+        points.extend(self._blg_points(owner_id, position))
+        points.extend(self._iflg_points(owner_id, position))
+        points.sort(key=lambda ep: ep.priority_key())
+        return points
+
+    def _is_uncovered(self, point, exclude):
+        covered, _ = self.registry.is_point_covered(
+            point, self.sensing_range, exclude=exclude
+        )
+        return not covered
+
+    def _flg_points(self, owner_id, position):
+        sensing_disk = Circle(position, self.sensing_range)
+        floor_index = self.floors.floor_index(position.y)
+        floor_segment = self.floors.floor_line_segment(floor_index)
+        covered_piece = sensing_disk.clip_segment(floor_segment)
+        if covered_piece is None or covered_piece.length() <= 1e-9:
+            return []
+        endpoints = [covered_piece.a, covered_piece.b]
+        endpoints.sort(key=lambda p: p.x, reverse=True)
+        points = []
+        for frontier in endpoints:
+            if not self.field.is_free(frontier):
+                continue
+            if not self._is_uncovered(frontier, exclude=[owner_id]):
+                continue
+            ep = self._ep_toward(position, frontier)
+            if ep is not None and self._is_uncovered(ep, exclude=[owner_id]):
+                points.append(ExpansionPoint(ep, ExpansionKind.FLG, owner_id))
+        return points
+
+    def _blg_points(self, owner_id, position):
+        sensing_disk = Circle(position, self.sensing_range)
+        points = []
+        for segment in self.field.boundary_segments_within(sensing_disk):
+            for frontier in self._boundary_frontier_points(segment, sensing_disk):
+                if not self.field.is_free(frontier):
+                    frontier = self.field.nearest_free(frontier)
+                if not self._is_uncovered(frontier, exclude=[owner_id]):
+                    continue
+                ep = self._ep_toward(position, frontier)
+                if ep is not None and self._is_uncovered(ep, exclude=[owner_id]):
+                    points.append(ExpansionPoint(ep, ExpansionKind.BLG, owner_id))
+        return points
+
+    def _iflg_points(self, owner_id, position):
+        neighbors = self.registry.neighbors_on_floor(
+            owner_id, 2.0 * self.expansion_radius
+        )
+        if not neighbors:
+            return []
+        floor_index = self.floors.floor_index(position.y)
+        inter_lines = [
+            line
+            for line in (
+                self.floors.inter_floor_line_above(floor_index),
+                self.floors.inter_floor_line_below(floor_index),
+            )
+            if line is not None
+        ]
+        if not inter_lines:
+            return []
+        my_circle = Circle(position, self.expansion_radius)
+        points = []
+        for record in neighbors:
+            other_circle = Circle(record.position, self.expansion_radius)
+            crossings = circle_circle_intersections(my_circle, other_circle)
+            midpoint_x = (position.x + record.position.x) / 2.0
+            for crossing in crossings:
+                hole_lines = [
+                    line
+                    for line in inter_lines
+                    if abs(crossing.y - position.y) > 1e-9
+                    and (crossing.y - position.y) * (line - position.y) > 0
+                ]
+                if not hole_lines or not self.field.is_free(crossing):
+                    continue
+                hole_probe = Vec2(midpoint_x, hole_lines[0])
+                if not self.field.is_free(hole_probe):
+                    continue
+                if not self._is_uncovered(hole_probe, exclude=[]):
+                    continue
+                if self._is_uncovered(
+                    crossing, exclude=[owner_id, record.node_id]
+                ):
+                    points.append(
+                        ExpansionPoint(crossing, ExpansionKind.IFLG, owner_id)
+                    )
+        return points
 
 
 class ScalarWalkInvitations(InvitationProtocol):

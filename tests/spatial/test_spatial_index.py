@@ -60,6 +60,34 @@ class TestSpatialIndexParity:
         q = rng.uniform(-20, 120, size=2)
         assert index.query_radius(q, r).tolist() == brute_query(points, q, r)
 
+    @pytest.mark.parametrize("trial", range(30))
+    def test_query_radius_many_matches_bruteforce(self, trial):
+        rng = np.random.default_rng(3000 + trial)
+        n = int(rng.integers(0, 90))
+        points = rng.uniform(0, 100, size=(n, 2))
+        r = float(rng.uniform(0.5, 40))
+        cell = float(rng.uniform(0.5, 50))
+        index = SpatialIndex(cell).build(points)
+        queries = rng.uniform(-60, 160, size=(int(rng.integers(0, 40)), 2))
+        if n:
+            # Queries at exactly distance r along an axis from a point.
+            edge = points[rng.integers(0, n, size=5)] + np.array([r, 0.0])
+            queries = np.vstack([queries, edge])
+        q_idx, hits = index.query_radius_many(queries[:, 0], queries[:, 1], r)
+        assert np.all(np.diff(q_idx) >= 0)
+        for k, q in enumerate(queries):
+            got = sorted(hits[q_idx == k].tolist())
+            assert got == brute_query(points, q, r)
+            assert got == index.query_radius(q, r).tolist()
+
+    def test_query_radius_many_empty_inputs(self):
+        index = SpatialIndex(10.0).build(np.array([[3.0, 4.0]]))
+        q_idx, hits = index.query_radius_many(np.empty(0), np.empty(0), 5.0)
+        assert q_idx.size == hits.size == 0
+        empty = SpatialIndex(10.0).build(np.empty((0, 2)))
+        q_idx, hits = empty.query_radius_many([0.0], [0.0], 5.0)
+        assert q_idx.size == hits.size == 0
+
     def test_directed_pairs_are_row_major_sorted(self):
         rng = np.random.default_rng(7)
         points = rng.uniform(0, 100, size=(60, 2))
