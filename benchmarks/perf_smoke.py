@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""CI perf smoke: one n=500 batched CPVF period vs the committed budget.
+"""CI perf smoke: a batched CPVF period and a coverage update vs budget.
 
 Times a batched-mode CPVF period at n = 500 (clustered, the canonical
 bench layout) and compares it with the committed ``cpvf_period`` n=500
@@ -17,10 +17,16 @@ regression (an eligibility check accidentally failing, the store being
 dropped every epoch) that the generous timing budget alone would let
 through at n = 500.
 
-Exit codes: 0 on pass; 1 when the measured period exceeds the budget,
-the incremental path never engaged, or the committed reference
-(``BENCH_perf.json`` or its ``cpvf_period`` n=500 ``fast_ms`` row) is
-missing — a gate without its reference fails rather than skips.
+A third check times a coverage update in which all n = 1000 sensors
+moved (``measure_coverage(1000, moved_fraction=1.0)``) against
+``3 x fast_ms`` of the committed all-moved ``coverage`` n=1000 row, so a
+fall back to per-disk rasterisation fails the gate.
+
+Exit codes: 0 on pass; 1 when a measurement exceeds its budget, the
+incremental path never engaged, or a committed reference
+(``BENCH_perf.json``, its ``cpvf_period`` n=500 row or its all-moved
+``coverage`` n=1000 row) is missing — a gate without its reference fails
+rather than skips.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 N = 500
+COVERAGE_N = 1000
 BUDGET_FACTOR = 3.0
 
 
@@ -42,12 +49,19 @@ def main() -> int:
         print("perf-smoke: FAIL (no committed BENCH_perf.json)")
         return 1
     bench = json.loads(bench_path.read_text())
+    period_ok = check_cpvf_period(bench)
+    coverage_ok = check_coverage(bench)
+    return 0 if period_ok and coverage_ok else 1
+
+
+def check_cpvf_period(bench: dict) -> bool:
+    """Batched n=500 period within budget, served by the pair store."""
     row = next(
         (r for r in bench.get("cpvf_period", ()) if r.get("n") == N), None
     )
     if row is None or "fast_ms" not in row:
         print(f"perf-smoke: FAIL (no committed cpvf_period n={N} entry)")
-        return 1
+        return False
 
     from repro.experiments.perfbench import _timed_periods
     from repro.obs import Telemetry
@@ -64,7 +78,7 @@ def main() -> int:
         f"{row['fast_ms']:.2f} ms) -> {verdict}"
     )
     if verdict != "ok":
-        return 1
+        return False
 
     tel = Telemetry()
     _timed_periods(
@@ -81,7 +95,37 @@ def main() -> int:
         f"perf-smoke: incremental pairs repaired={repaired} "
         f"rebuilt={rebuilt} -> {'ok' if incremental_ok else 'FAIL'}"
     )
-    return 0 if incremental_ok else 1
+    return incremental_ok
+
+
+def check_coverage(bench: dict) -> bool:
+    """An all-moved n=1000 coverage update within budget."""
+    row = next(
+        (
+            r
+            for r in bench.get("coverage", ())
+            if r.get("n") == COVERAGE_N and r.get("moved_per_round") == COVERAGE_N
+        ),
+        None,
+    )
+    if row is None or "fast_ms" not in row:
+        print(
+            f"perf-smoke: FAIL (no committed all-moved coverage "
+            f"n={COVERAGE_N} entry)"
+        )
+        return False
+
+    from repro.experiments.perfbench import measure_coverage
+
+    fast_ms = measure_coverage(COVERAGE_N, seed=3, moved_fraction=1.0)["fast_ms"]
+    budget_ms = BUDGET_FACTOR * row["fast_ms"]
+    ok = fast_ms <= budget_ms
+    print(
+        f"perf-smoke: n={COVERAGE_N} all-moved coverage update "
+        f"{fast_ms:.2f} ms, budget {budget_ms:.2f} ms (3 x committed "
+        f"fast_ms {row['fast_ms']:.2f} ms) -> {'ok' if ok else 'FAIL'}"
+    )
+    return ok
 
 
 if __name__ == "__main__":

@@ -49,13 +49,14 @@ def _merge_entry(old, new):
     """Merge regenerated rows into a committed entry, row by row.
 
     Per-population entries are lists of row dicts keyed by
-    ``(n, layout)``; a partial regeneration (``--only ... --n ...``)
-    replaces only the re-measured rows and keeps the other committed
-    rows, so re-running one noisy row cannot drop its siblings.  Entries
-    that are not keyed row lists are replaced wholesale.
+    ``(n, layout, moved_per_round)``; a partial regeneration
+    (``--only ... --n ...``) replaces only the re-measured rows and keeps
+    the other committed rows, so re-running one noisy row cannot drop
+    its siblings.  Entries that are not keyed row lists are replaced
+    wholesale.
     """
     def row_key(row):
-        return (row["n"], row.get("layout", ""))
+        return (row["n"], row.get("layout", ""), row.get("moved_per_round", 0))
 
     if not (
         isinstance(old, list)
@@ -94,6 +95,8 @@ def _print_results(results: dict) -> None:
                 if row.get("speedup") is None
                 else f" ({row['speedup']:.1f}x)"
             )
+            if "moved_per_round" in row:
+                layout += f" moved={row['moved_per_round']}"
             print(
                 f"{section}{layout} n={row['n']}: "
                 f"{seed_part} fast={row['fast_ms']:.2f} ms"

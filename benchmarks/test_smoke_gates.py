@@ -34,6 +34,12 @@ def test_perf_smoke_fails_without_reference(tmp_path, monkeypatch, payload):
     assert module.main() == 1
 
 
+def test_perf_smoke_coverage_check_fails_without_all_moved_row():
+    module = _load("perf_smoke")
+    light_rows = {"coverage": [{"n": 1000, "moved_per_round": 20, "fast_ms": 1.0}]}
+    assert module.check_coverage(light_rows) is False
+
+
 @pytest.mark.parametrize("payload", [None, "{}"])
 def test_network_smoke_bench_check_fails_without_reference(
     tmp_path, monkeypatch, payload

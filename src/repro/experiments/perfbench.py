@@ -539,12 +539,15 @@ def measure_coverage(
     moved_fraction: float = 0.02,
     rounds: int = 5,
 ) -> Dict[str, float]:
-    """Seed vs incremental coverage after small position changes.
+    """Seed vs incremental coverage after position changes.
 
-    Simulates the engine's trace pattern: measure, move a few sensors,
-    measure again.  The seed path rescans the grid for every sensing disk
-    each time; the incremental tracker only re-rasterises the moved
-    disks.  Both answers are checked for exact equality every round.
+    Simulates the engine's trace pattern: measure, move a share
+    ``moved_fraction`` of the sensors, measure again.  The default 2%
+    is the light end; the engine's real traffic moves nearly every
+    sensor between measurements (``moved_fraction=1.0``).  The seed path
+    rescans the grid for every sensing disk each time; the incremental
+    tracker re-rasterises the moved disks in one batched pass.  Both
+    answers are checked for exact equality every round.
     """
     world = _make_perf_world(n, seed, clustered=False, fast=True)
     rs = world.config.sensing_range
@@ -889,6 +892,8 @@ DEFAULT_NS = (100, 500, 1000)
 SCALE_NS = (2000, 5000, 10000)
 #: Populations of the FLOOR period rows.
 FLOOR_NS = (200, 1000)
+#: Populations of the coverage rows that move every sensor per round.
+COVERAGE_ALL_MOVED_NS = (240, 1000, 5000)
 
 #: Entry name -> builder ``(ns, seed) -> value``; ``run_perf_suite`` and
 #: the ``run_perf.py --only`` flag both draw from this table.
@@ -915,6 +920,10 @@ PERF_ENTRIES: Dict[str, Callable] = {
     ],
     "coverage": lambda ns, seed: [
         measure_coverage(n, seed=seed) for n in ns if n <= 1000
+    ]
+    + [
+        measure_coverage(n, seed=seed, moved_fraction=1.0)
+        for n in COVERAGE_ALL_MOVED_NS
     ],
     "sweep_throughput": lambda ns, seed: [measure_sweep_throughput(seed=seed)],
     "sweep_service": lambda ns, seed: [measure_sweep_service(seed=seed)],

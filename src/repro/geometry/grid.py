@@ -18,6 +18,12 @@ from .vec import Vec2
 
 __all__ = ["CoverageGrid"]
 
+#: Most disks one :meth:`CoverageGrid.rasterize_disks` chunk holds.
+DISK_CHUNK = 256
+#: Most padded ``disks x block`` cells one pass holds; a chunk of large
+#: disks holds fewer than :data:`DISK_CHUNK` of them.
+CHUNK_CELLS = 1 << 16
+
 
 @dataclass
 class CoverageGrid:
@@ -49,6 +55,8 @@ class CoverageGrid:
         ys = np.arange(self.ymin + self.resolution / 2, self.ymax, self.resolution)
         self._xs = xs
         self._ys = ys
+        # Block offsets 0, 1, 2, ... shared by every rasterisation call.
+        self._offsets = np.arange(max(len(xs), len(ys)))
         # Meshgrid of sample point coordinates, flattened to 1-D arrays.
         gx, gy = np.meshgrid(xs, ys, indexing="ij")
         self._px = gx.ravel()
@@ -90,50 +98,90 @@ class CoverageGrid:
             (predicate(p) for p in self.points()), dtype=bool, count=self.num_points
         )
 
-    def disk_block(
-        self, cx: float, cy: float, radius: float
-    ) -> "Tuple[slice, slice, np.ndarray] | None":
-        """The grid sub-block a disk touches, with its in-disk mask.
+    def rasterize_disks(
+        self, centers, radius: float
+    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """Every (disk, cell) hit of the disks at ``(n, 2)`` ``centers``.
 
-        Returns ``(i_slice, j_slice, hit)`` where ``hit`` is the boolean
-        mask ``dx*dx + dy*dy <= radius*radius`` over the sub-block of the
-        ``'ij'``-shaped grid inside the disk's bounding box, or ``None``
-        when the disk misses the grid entirely.  This is the single
-        rasterisation predicate every coverage path shares — the
-        incremental tracker's exact-parity contract depends on all
-        consumers using the same float ops.
+        Yields ``(cells, hit)`` per chunk of consecutive disks, in input
+        order.  ``hit`` is the chunk's ``(disks, width, height)`` mask over
+        its disks' blocks, padded to the largest block of the call;
+        ``cells`` lists the flat index (``i * ny + j`` of the
+        ``'ij'``-shaped grid) of its true entries, disk by disk, so the
+        first ``np.count_nonzero(hit[:k])`` cells belong to the chunk's
+        first ``k`` disks.  A cell inside ``m`` disks appears ``m`` times.
+
+        A cell ``(i, j)`` is hit by the disk at ``(cx, cy) = centers[k]``
+        when it lies inside the disk's per-axis ``searchsorted`` bounds
+        (``side="left"`` on ``c - radius``, ``side="right"`` on
+        ``c + radius``) and ``dx*dx + dy*dy <= radius*radius`` with
+        ``dx = xs[i] - cx`` and ``dy = ys[j] - cy``.  This is the single
+        rasterisation predicate every coverage path shares: the float
+        operations on each real cell are the ones a per-disk scan makes,
+        and padding is masked by each disk's own bounds, so callers are
+        bit-identical to that scan.
+
+        A chunk holds at most :data:`DISK_CHUNK` disks and at most
+        :data:`CHUNK_CELLS` padded cells, unless one block alone is
+        larger.  One empty chunk is yielded when no disk touches the grid.
         """
+        centers = np.asarray(centers, dtype=float).reshape(-1, 2)
+        cx, cy = centers[:, 0], centers[:, 1]
+        lo, hi = centers - radius, centers + radius
         xs, ys = self._xs, self._ys
-        i0 = int(np.searchsorted(xs, cx - radius, side="left"))
-        i1 = int(np.searchsorted(xs, cx + radius, side="right"))
-        j0 = int(np.searchsorted(ys, cy - radius, side="left"))
-        j1 = int(np.searchsorted(ys, cy + radius, side="right"))
-        if i0 >= i1 or j0 >= j1:
-            return None
-        dx = xs[i0:i1, None] - cx
-        dy = ys[None, j0:j1] - cy
-        hit = dx * dx + dy * dy <= radius * radius
-        return slice(i0, i1), slice(j0, j1), hit
+        i0 = xs.searchsorted(lo[:, 0], side="left")
+        wi = xs.searchsorted(hi[:, 0], side="right") - i0
+        j0 = ys.searchsorted(lo[:, 1], side="left")
+        wj = ys.searchsorted(hi[:, 1], side="right") - j0
+        width, height = int(wi.max(initial=0)), int(wj.max(initial=0))
+        if width <= 0 or height <= 0:
+            yield np.empty(0, dtype=np.intp), np.zeros((len(cx), 0, 0), dtype=bool)
+            return
+        per_chunk = max(1, min(DISK_CHUNK, CHUNK_CELLS // (width * height)))
+        cols, rows = self._offsets[:width], self._offsets[:height]
+        ny = len(ys)
+        r_sq = radius * radius
+        for start in range(0, len(cx), per_chunk):
+            chunk = slice(start, start + per_chunk)
+            ii = i0[chunk, None] + cols
+            jj = j0[chunk, None] + rows
+            dx = xs.take(ii, mode="clip") - cx[chunk, None]
+            dy = ys.take(jj, mode="clip") - cy[chunk, None]
+            # Padding past a disk's own bounds: NaN fails every
+            # comparison, so those cells are never hit, whatever radius.
+            dx[cols >= wi[chunk, None]] = np.nan
+            dy[rows >= wj[chunk, None]] = np.nan
+            dx *= dx
+            dy *= dy
+            hit = dx[:, :, None] + dy[:, None, :] <= r_sq
+            ii *= ny
+            yield (ii[:, :, None] + jj[:, None, :])[hit], hit
 
     def coverage_mask(
         self, centers: Sequence[Tuple[float, float]], radius: float
     ) -> np.ndarray:
         """Mask of sample points within ``radius`` of any of ``centers``.
 
-        Each disk only touches the sub-block of grid points inside its
-        bounding box, so the cost is proportional to the covered area
-        rather than ``len(centers) * num_points``.
+        One batched rasterisation pass, so the cost is proportional to the
+        covered area rather than ``len(centers) * num_points``.
         """
-        covered = np.zeros(self.shape, dtype=bool)
-        if not centers or radius <= 0:
-            return covered.ravel()
-        for cx, cy in centers:
-            block = self.disk_block(cx, cy, radius)
-            if block is None:
-                continue
-            si, sj, hit = block
-            covered[si, sj] |= hit
-        return covered.ravel()
+        covered = np.zeros(self.num_points, dtype=bool)
+        if len(centers) == 0 or radius <= 0:
+            return covered
+        for cells, _ in self.rasterize_disks(centers, radius):
+            covered[cells] = True
+        return covered
+
+    def multiplicity(self, centers, radius: float) -> np.ndarray:
+        """Number of the disks at ``(n, 2)`` ``centers`` containing each point.
+
+        Flat, like :meth:`coverage_mask`; one batched rasterisation pass,
+        accumulated chunk by chunk so no full hit list is held.
+        """
+        counts = np.zeros(self.num_points, dtype=np.int32)
+        for cells, _ in self.rasterize_disks(centers, radius):
+            np.add.at(counts, cells, np.int32(1))
+        return counts
 
     def fraction(self, mask: np.ndarray, domain: np.ndarray | None = None) -> float:
         """Fraction of (domain) points set in ``mask``.

@@ -58,16 +58,9 @@ def coverage_report(
     """
     grid, obstacle_mask = field.grid_and_obstacle_mask(resolution)
     free = ~obstacle_mask
-    # Accumulate the multiplicity disk by disk, touching only the grid
-    # sub-block inside each disk's bounding box.
-    multiplicity2d = np.zeros(grid.shape, dtype=np.int32)
-    for p in positions:
-        disk = grid.disk_block(p.x, p.y, sensing_range)
-        if disk is None:
-            continue
-        si, sj, hit = disk
-        multiplicity2d[si, sj] += hit
-    multiplicity = multiplicity2d.ravel()
+    multiplicity = grid.multiplicity(
+        [p.as_tuple() for p in positions], sensing_range
+    )
 
     free_count = int(free.sum())
     if free_count == 0:

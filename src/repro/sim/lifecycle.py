@@ -472,7 +472,6 @@ class FaultInjector:
     def _apply_obstacle(self, event: LifecycleEvent) -> WorldChange:
         world = self._world
         world.field.add_obstacle(build_event_obstacle(event))
-        world.notify_field_changed()
         self._displace_swallowed_sensors()
         return WorldChange(kind="obstacle", obstacles_changed=True)
 
@@ -485,7 +484,6 @@ class FaultInjector:
                 f"(field has {len(world.field.obstacles)} obstacles)"
             )
         world.field.remove_obstacle(index)
-        world.notify_field_changed()
         return WorldChange(kind="clear-obstacle", obstacles_changed=True)
 
     def _displace_swallowed_sensors(self) -> None:

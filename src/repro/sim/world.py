@@ -247,16 +247,22 @@ class World:
         """Fraction of non-obstacle field area covered by sensing disks.
 
         The incremental tracker re-rasterises only the disks of sensors
-        that moved since the previous call; the result is identical to the
-        brute-force ``Field.coverage_fraction`` scan.
+        that moved since the previous call; the result is identical to
+        rasterising every disk from scratch.  A tracker built before the
+        field's last obstacle mutation is rebuilt.  With telemetry on,
+        counts ``coverage.updates`` and ``coverage.disks`` (disks
+        rasterised, removals included).
         """
         alive = self.alive_sensors()
         key = (self.config.sensing_range, self.config.coverage_resolution)
         tracker = self._coverage_trackers.get(key)
-        if tracker is None:
+        if tracker is None or tracker.field_version != self.field.version:
             tracker = IncrementalCoverage(self.field, key[0], key[1])
             self._coverage_trackers[key] = tracker
-        tracker.update([(s.position.x, s.position.y) for s in alive])
+        disks = tracker.update([(s.position.x, s.position.y) for s in alive])
+        if self.telemetry.enabled:
+            self.telemetry.count("coverage.updates", 1)
+            self.telemetry.count("coverage.disks", disks)
         return tracker.covered_fraction()
 
     def network_is_connected(self) -> bool:
@@ -375,17 +381,6 @@ class World:
         sensor.children = set()
         sensor.ancestors = []
         return disconnected
-
-    def notify_field_changed(self) -> None:
-        """Invalidate structures derived from the field's obstacle set.
-
-        Call after mutating ``field.obstacles`` (lifecycle obstacle
-        events): coverage trackers rasterised the old obstacle mask and
-        the neighbour cache may hold line-of-sight answers.
-        """
-        self._coverage_trackers.clear()
-        if self._neighbor_cache is not None:
-            self._neighbor_cache.invalidate()
 
     def _repair_tree_after_failure(self, sensor_id: int) -> List[int]:
         """Re-attach (or drop) the subtrees orphaned by a node death."""

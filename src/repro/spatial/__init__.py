@@ -34,14 +34,17 @@ preserves the semantics of the pre-cache API.
 
 ``IncrementalCoverage`` — maintains the per-cell coverage *multiplicity*
 grid (how many sensing disks contain each sample point) plus a running
-count of covered free cells.  When a sensor moves, only the grid cells
-inside the bounding boxes of its old and new sensing disks are updated
-(decrement old disk, increment new disk, track 0<->1 transitions), making
-``World.coverage()`` cheap enough to trace every period.  The predicate
-per cell is the same float64 ``dx*dx + dy*dy <= r*r`` the brute-force
-:meth:`~repro.geometry.grid.CoverageGrid.coverage_mask` uses, so the
-covered-cell count — and hence the coverage fraction — matches the
-brute-force path exactly, not just to within tolerance.
+count of covered free cells.  Each update rasterises the movers' old and
+new disks in one batched
+:meth:`~repro.geometry.grid.CoverageGrid.rasterize_disks` pass, removes
+and adds the hits with ``np.subtract.at``/``np.add.at``, and adjusts the
+covered count from the touched cells only (0<->1 transitions), making
+``World.coverage()`` cheap enough to trace every period.  Every coverage
+path shares that kernel, whose per-cell predicate is the per-disk
+scan's float64 ``dx*dx + dy*dy <= r*r`` inside the disk's own
+``searchsorted`` bounds; integer updates commute, so the multiplicity
+grid and the coverage fraction match the per-disk scan exactly, not
+just to within tolerance.
 
 Invalidation contract: the ``NeighborCache`` epoch covers per-sensor
 position versions and communication ranges plus the radio's
@@ -49,11 +52,13 @@ line-of-sight flag and the configured base-station range, so both
 movement and mid-run radio-parameter mutations invalidate; the sensor
 *population* is assumed fixed for the lifetime of a ``World``, which
 holds for every scheme in this repository.  ``IncrementalCoverage``
-diffs the packed position array itself and rebuilds from scratch when
-the sensor count changes.  The library keeps one path per query; the
-brute-force references (the dense radio scans in ``tests/oracles.py``
-and ``Field.coverage_fraction``) are exercised against it by randomized
-parity tests under ``tests/spatial/``.
+diffs the packed position array itself, rebuilds in one batch when the
+sensor count changes or at least half the sensors moved, and records the
+``Field.version`` whose obstacle mask it rasterised, so ``World``
+rebuilds it after an obstacle mutation.  The library keeps one path per
+query; the brute-force references (the dense radio scans and the
+per-disk coverage scan in ``tests/oracles.py``) are exercised against it
+by randomized parity tests under ``tests/spatial/``.
 """
 
 from .index import SpatialIndex, pack_positions

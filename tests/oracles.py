@@ -7,10 +7,13 @@ parity tests can keep pinning exact agreement:
 * :func:`neighbor_table_bruteforce` / :func:`neighbors_of_point_bruteforce`
   — dense scans behind :meth:`Radio.neighbor_table` and
   :meth:`Radio.neighbors_of_point`.
+* :func:`disk_block` / :func:`disk_multiplicity` /
+  :func:`disk_coverage_fraction` — coverage rasterised one disk per
+  Python call, behind the batched :meth:`CoverageGrid.rasterize_disks`
+  (:func:`grid_axes` recovers the grid's sample axes for them).
 * :class:`BruteWorld` — a :class:`World` whose neighbour, connectivity and
-  coverage queries recompute from scratch through those scans and
-  ``Field.coverage_fraction`` (no neighbour cache, pair store or
-  incremental coverage tracker).
+  coverage queries recompute from scratch through those scans (no
+  neighbour cache, pair store or incremental coverage tracker).
 * :func:`polygon_contains` / :func:`polygon_on_boundary` — the
   point-in-polygon test rebuilding its edges per call, without the
   bounding-box rejection :meth:`Polygon.contains` applies first.
@@ -51,6 +54,10 @@ __all__ = [
     "polygon_on_boundary",
     "neighbor_table_bruteforce",
     "neighbors_of_point_bruteforce",
+    "grid_axes",
+    "disk_block",
+    "disk_multiplicity",
+    "disk_coverage_fraction",
     "BruteWorld",
     "ScanFloorRegistry",
     "SequentialExpansionPlanner",
@@ -133,6 +140,60 @@ def neighbors_of_point_bruteforce(
 
 
 # ----------------------------------------------------------------------
+# Coverage rasterisation
+# ----------------------------------------------------------------------
+def grid_axes(grid):
+    """The grid's sample x coordinates (columns) and y coordinates (rows)."""
+    px, py = grid.point_arrays()
+    nx, ny = grid.shape
+    return px.reshape(nx, ny)[:, 0], py.reshape(nx, ny)[0]
+
+
+def disk_block(grid, cx: float, cy: float, radius: float):
+    """The grid sub-block one disk touches, with its in-disk mask.
+
+    Returns ``(i_slice, j_slice, hit)`` where ``hit`` is
+    ``dx*dx + dy*dy <= radius*radius`` over the sub-block of the
+    ``'ij'``-shaped grid inside the disk's ``searchsorted`` bounds, or
+    ``None`` when the disk misses the grid.
+    """
+    xs, ys = grid_axes(grid)
+    i0 = int(np.searchsorted(xs, cx - radius, side="left"))
+    i1 = int(np.searchsorted(xs, cx + radius, side="right"))
+    j0 = int(np.searchsorted(ys, cy - radius, side="left"))
+    j1 = int(np.searchsorted(ys, cy + radius, side="right"))
+    if i0 >= i1 or j0 >= j1:
+        return None
+    dx = xs[i0:i1, None] - cx
+    dy = ys[None, j0:j1] - cy
+    hit = dx * dx + dy * dy <= radius * radius
+    return slice(i0, i1), slice(j0, j1), hit
+
+
+def disk_multiplicity(grid, centers, radius: float) -> np.ndarray:
+    """Flat per-cell count of the disks containing it, one disk at a time."""
+    multiplicity = np.zeros(grid.shape, dtype=np.int32)
+    for cx, cy in centers:
+        block = disk_block(grid, cx, cy, radius)
+        if block is not None:
+            si, sj, hit = block
+            multiplicity[si, sj] += hit
+    return multiplicity.ravel()
+
+
+def disk_coverage_fraction(field, positions, sensing_range, resolution) -> float:
+    """Covered fraction of the free cells, rasterised one disk at a time."""
+    grid, obstacle_mask = field.grid_and_obstacle_mask(resolution)
+    free = ~obstacle_mask
+    if sensing_range <= 0:
+        covered = np.zeros(grid.num_points, dtype=bool)
+    else:
+        centers = [(p.x, p.y) for p in positions]
+        covered = disk_multiplicity(grid, centers, sensing_range) > 0
+    return grid.fraction(covered & free, domain=free)
+
+
+# ----------------------------------------------------------------------
 # World
 # ----------------------------------------------------------------------
 class BruteWorld(World):
@@ -174,7 +235,8 @@ class BruteWorld(World):
         )
 
     def coverage(self) -> float:
-        return self.field.coverage_fraction(
+        return disk_coverage_fraction(
+            self.field,
             [s.position for s in self.alive_sensors()],
             self.config.sensing_range,
             self.config.coverage_resolution,

@@ -214,7 +214,7 @@ class TestTreeRepairInWorld:
 class TestFieldEvents:
     def test_obstacle_appear_and_clear_round_trip(self):
         field = Field(FIELD_SIZE, FIELD_SIZE)
-        world = make_world(field=field)
+        make_world(field=field)
         v0 = field.version
         index = field.add_obstacle(Obstacle.rectangle(10, 10, 60, 60))
         assert index == 0
@@ -223,7 +223,6 @@ class TestFieldEvents:
         removed = field.remove_obstacle(0)
         assert field.is_free(Vec2(30, 30))
         assert removed.contains(Vec2(30, 30))
-        world.notify_field_changed()
 
     def test_injector_displaces_swallowed_sensors(self):
         field = Field(FIELD_SIZE, FIELD_SIZE)

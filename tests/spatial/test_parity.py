@@ -11,7 +11,7 @@ import random
 
 import numpy as np
 import pytest
-from oracles import neighbor_table_bruteforce
+from oracles import disk_coverage_fraction, neighbor_table_bruteforce
 
 from repro.field import Field, two_obstacle_field
 from repro.geometry import Vec2
@@ -192,7 +192,7 @@ class TestCoverageParity:
         rs = world.config.sensing_range
         res = world.config.coverage_resolution
         for _ in range(6):
-            brute = world.field.coverage_fraction(world.positions(), rs, res)
+            brute = disk_coverage_fraction(world.field, world.positions(), rs, res)
             assert world.coverage() == brute
             scatter(world, rng, rng.randint(1, 5))
 
@@ -203,13 +203,13 @@ class TestCoverageParity:
         pts = rng.uniform(0, FIELD_SIZE, size=(10, 2))
         tracker.update(pts)
         first = tracker.covered_fraction()
-        assert first == field.coverage_fraction(
-            [Vec2(x, y) for x, y in pts], 30.0, 15.0
+        assert first == disk_coverage_fraction(
+            field, [Vec2(x, y) for x, y in pts], 30.0, 15.0
         )
         pts = rng.uniform(0, FIELD_SIZE, size=(25, 2))  # rebuild path
         tracker.update(pts)
-        assert tracker.covered_fraction() == field.coverage_fraction(
-            [Vec2(x, y) for x, y in pts], 30.0, 15.0
+        assert tracker.covered_fraction() == disk_coverage_fraction(
+            field, [Vec2(x, y) for x, y in pts], 30.0, 15.0
         )
 
     def test_zero_radius_covers_nothing(self):

@@ -134,19 +134,22 @@ def test_cached_and_uncached_worlds_agree_under_identical_churn(trial):
 
 
 def test_field_change_invalidates_coverage():
+    """An obstacle mutation alone rebuilds the coverage tracker."""
     rng = random.Random(42)
     world = build_world(random_positions(rng, 20))
+    brute = BruteWorld.create(
+        world.config, world.field, initial_positions=world.positions()
+    )
     before = world.coverage()
     index = world.field.add_obstacle(
         Obstacle.rectangle(20.0, 20.0, 180.0, 180.0)
     )
-    world.notify_field_changed()
     after = world.coverage()
     assert after != before
+    assert after == brute.coverage()
 
     world.field.remove_obstacle(index)
-    world.notify_field_changed()
-    assert world.coverage() == pytest.approx(before, abs=1e-12)
+    assert world.coverage() == before == brute.coverage()
 
 
 def test_epoch_bumps_without_explicit_invalidation():
