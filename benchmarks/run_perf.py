@@ -22,8 +22,8 @@ preserved verbatim, so one noisy row can be re-measured without paying
 for the whole suite.  ``--n N [N ...]`` overrides the population sizes
 of the per-population entries (``neighbor_table``, ``cpvf_period``,
 ``coverage``); without it, ``cpvf_period`` runs the classic sizes
-(100/500/1000, seed vs vectorized) plus the three-mode scale rows
-(2000/5000/10000, seed vs vectorized vs batched).  Sizes beyond 20000
+(100/500/1000, seed vs batched) plus the scale rows with a phase
+breakdown (2000/5000/10000, seed vs batched).  Sizes beyond 20000
 (e.g. ``--n 100000``) skip the seed algorithm (``seed_ms`` is null) and
 grow the field with sqrt(n) so density matches the n = 10^4 row.
 """
@@ -74,11 +74,6 @@ def _print_results(results: dict) -> None:
         for row in results.get(section, ()):
             layout = f" {row['layout']}" if "layout" in row else ""
             extra = ""
-            if "batched_ms" in row:
-                extra = (
-                    f" batched={row['batched_ms']:.2f} ms"
-                    f" ({row['speedup_vs_vectorized']:.1f}x vs vectorized)"
-                )
             if row.get("phases_ms"):
                 top = max(row["phases_ms"], key=row["phases_ms"].get)
                 extra += f" [top phase {top}={row['phases_ms'][top]:.1f} ms]"
@@ -97,10 +92,13 @@ def _print_results(results: dict) -> None:
             )
             if "moved_per_round" in row:
                 layout += f" moved={row['moved_per_round']}"
+            if "batched_ms" in row:
+                timing = f"batched={row['batched_ms']:.2f} ms"
+            else:
+                timing = f"fast={row['fast_ms']:.2f} ms"
             print(
                 f"{section}{layout} n={row['n']}: "
-                f"{seed_part} fast={row['fast_ms']:.2f} ms"
-                f"{speedup_part}{extra}"
+                f"{seed_part} {timing}{speedup_part}{extra}"
             )
     for row in results.get("telemetry_overhead", ()):
         print(

@@ -47,7 +47,12 @@ __all__ = [
 #: hashed into every fingerprint, so bumping it invalidates every
 #: content-addressed store entry at once (old entries simply never match
 #: again and are reclaimed by ``repro.service``'s GC).
-SPEC_SCHEMA_VERSION = 1
+#:
+#: History: 2 — the default CPVF mode became ``"batched"``.  Default
+#: scheme params are not part of the spec content, so a spec without an
+#: explicit ``mode`` hashes alike before and after; only the version
+#: keeps schema-1 records of the old default from being served.
+SPEC_SCHEMA_VERSION = 2
 
 
 def canonical_json(data: Any) -> str:

@@ -77,7 +77,7 @@ class TreeSchedule:
 
     ``colors`` holds the per-sensor BFS parity; the required links of
     sensor ``i`` (its parent, then its children — the exact set
-    ``CPVFScheme._tree_link_positions`` preserves) are the node ids
+    ``CPVFScheme._link_node_ids`` returns) are the node ids
     ``link_nodes[link_offsets[i]:link_offsets[i + 1]]``, where
     :data:`~repro.network.BASE_STATION_ID` stands for the base station.
     Built once per ``ConnectivityTree.version``.

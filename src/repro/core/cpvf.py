@@ -35,10 +35,12 @@ from ..network import BASE_STATION_ID, MessageType
 from ..sensors import Sensor, SensorState
 from ..sim import DeploymentScheme, World
 from .batch_ladder import TreeSchedule, batched_ladder_steps
-from .connectivity import (
+from .connectivity import (  # noqa: F401 (max_valid_step_points)
     STEP_FRACTIONS,
     NeighborMotion,
     max_valid_step,
+    # Not called here, but kept bound: deploybench/trace.py times the
+    # ladders by patching this module's attributes.
     max_valid_step_points,
 )
 from .lazy import LazyMovementController
@@ -47,11 +49,8 @@ from .virtual_force import VirtualForceModel
 
 __all__ = ["CPVFScheme", "CPVF_MODES"]
 
-#: Shared zero direction (Vec2 is immutable, so one instance is safe).
-_ZERO_VEC = Vec2(0.0, 0.0)
-
-#: The three execution strategies of the coverage stage (see ``mode``).
-CPVF_MODES = ("sequential", "vectorized", "batched")
+#: The two execution strategies of the coverage stage (see ``mode``).
+CPVF_MODES = ("sequential", "batched")
 
 
 class CPVFScheme(DeploymentScheme):
@@ -65,7 +64,7 @@ class CPVFScheme(DeploymentScheme):
         oscillation_delta: Optional[float] = None,
         oscillation_mode: str = "one-step",
         repulsion_distance: Optional[float] = None,
-        mode: str = "vectorized",
+        mode: str = "batched",
     ):
         """Create the scheme.
 
@@ -84,27 +83,22 @@ class CPVFScheme(DeploymentScheme):
             Execution strategy of the coverage stage
             (see ``docs/performance.md``):
 
-            ``"sequential"``
-                The seed dynamics: sensors decide and move one after the
-                other within a period, each seeing earlier movers' new
-                positions.
-            ``"vectorized"``
-                Forces for all sensors evaluated in one numpy batch from
-                start-of-period positions (the paper's simultaneous-
-                decision semantics); the step ladder still runs per
-                sensor against live link positions.  It can differ from
-                sequential by one ulp in the force vector because
-                ``np.hypot`` and ``math.hypot`` round independently.
-            ``"batched"``
-                Conflict-free batch execution: tree levels are colored by
+            ``"batched"`` (default)
+                The paper's simultaneous-decision semantics: every
+                connected sensor's force comes from start-of-period
+                positions in one numpy pass; tree levels are colored by
                 BFS-depth parity, and each color class evaluates ladder,
                 obstacle clipping and oscillation test as arrays against
                 frozen link positions, committing in one pass.  Same
-                per-period message accounting; trajectories are
-                equivalent in distribution to the other modes rather
-                than numerically identical.  Blocked and stray sensors
-                are repaired in conflict-free groups (see
+                per-period message accounting as ``"sequential"``;
+                trajectories are equivalent in distribution rather than
+                numerically identical.  Blocked and stray sensors are
+                repaired in conflict-free groups (see
                 :meth:`_repair_grouped`).
+            ``"sequential"``
+                The seed dynamics, kept as the exact reference: sensors
+                decide and move one after the other within a period,
+                each seeing earlier movers' new positions.
         """
         if mode not in CPVF_MODES:
             raise ValueError(
@@ -115,7 +109,6 @@ class CPVFScheme(DeploymentScheme):
         self._oscillation_mode = OscillationMode.from_string(oscillation_mode)
         self._repulsion_distance = repulsion_distance
         self._mode = mode
-        self._vectorized = mode != "sequential"
         self._planner: Optional[Bug2Planner] = None
         self._forces: Optional[VirtualForceModel] = None
         self._lazy: Optional[LazyMovementController] = None
@@ -218,15 +211,16 @@ class CPVFScheme(DeploymentScheme):
             # that are still walking toward the tree; the coverage stage
             # works on packed pair arrays.  Skipping the full per-sensor
             # table dict is a large part of the batched mode's win.
-            disconnected = [
-                s.sensor_id
-                for s in world.sensors
-                if s.is_alive() and not s.is_connected()
-            ]
-            if disconnected:
-                table = world.protocol_neighbor_rows(disconnected)
-                self._connect_reachable_sensors(world, table)
-                self._advance_disconnected_sensors(world, table)
+            with world.telemetry.span("cpvf.connect"):
+                disconnected = [
+                    s.sensor_id
+                    for s in world.sensors
+                    if s.is_alive() and not s.is_connected()
+                ]
+                if disconnected:
+                    table = world.protocol_neighbor_rows(disconnected)
+                    self._connect_reachable_sensors(world, table)
+                    self._advance_disconnected_sensors(world, table)
             self._apply_virtual_forces_batched(world)
             return
         # Protocol decisions read the table through the network model (a
@@ -304,117 +298,38 @@ class CPVFScheme(DeploymentScheme):
             )
 
     # -- Stage 2: virtual-force coverage maximisation -------------------
-    def _force_directions(
-        self, world: World, connected: List[Sensor], table: Dict[int, List[int]]
-    ) -> Dict[int, Vec2]:
-        """Resultant force directions for all connected sensors at once.
-
-        Pairwise sensor repulsion is evaluated in one numpy batch over the
-        packed neighbour lists; the (cheap, per-sensor) obstacle and
-        boundary terms are added scalar-wise, preserving the summation
-        order of :meth:`VirtualForceModel.resultant`.
-        """
-        assert self._forces is not None
-        sensors = world.sensors
-        xs = np.fromiter((s.position.x for s in sensors), float, len(sensors))
-        ys = np.fromiter((s.position.y for s in sensors), float, len(sensors))
-        neighbor_lists = [table.get(s.sensor_id, []) for s in connected]
-        lengths = np.fromiter(
-            (len(lst) for lst in neighbor_lists), np.intp, len(connected)
-        )
-        rows = np.repeat(
-            np.fromiter((s.sensor_id for s in connected), np.intp, len(connected)),
-            lengths,
-        )
-        cols = np.fromiter(
-            chain.from_iterable(neighbor_lists), np.intp, int(lengths.sum())
-        )
-        sum_x, sum_y = self._forces.sensor_force_sums(xs, ys, rows, cols)
-        sum_x = sum_x.tolist()
-        sum_y = sum_y.tolist()
-        directions: Dict[int, Vec2] = {}
-        field = world.field
-        has_obstacles = bool(field.obstacles)
-        width, height = field.width, field.height
-        boundary_force_xy = self._forces.boundary_force_xy
-        for sensor in connected:
-            sid = sensor.sensor_id
-            total_x, total_y = sum_x[sid], sum_y[sid]
-            if has_obstacles:
-                obstacle = self._forces.force_from_obstacles(sensor.position, field)
-                total_x += obstacle.x
-                total_y += obstacle.y
-            else:
-                # force_from_obstacles with no obstacles reduces to the
-                # four wall terms.
-                wall_x, wall_y = boundary_force_xy(
-                    sensor.position.x, sensor.position.y, width, height
-                )
-                total_x += wall_x
-                total_y += wall_y
-            norm = math.hypot(total_x, total_y)
-            if norm <= EPS:
-                directions[sid] = _ZERO_VEC
-            else:
-                directions[sid] = Vec2(total_x / norm, total_y / norm)
-        return directions
-
     def _apply_virtual_forces(
         self, world: World, table: Dict[int, List[int]]
     ) -> None:
+        """The sequential coverage stage: one sensor after the other."""
         assert self._forces is not None and self._avoidance is not None
         config = world.config
-        connected = [s for s in world.sensors if s.is_connected()]
-        directions: Optional[Dict[int, Vec2]] = None
-        if self._vectorized and connected:
-            directions = self._force_directions(world, connected, table)
-        for sensor in connected:
-            if directions is not None:
-                direction = directions[sensor.sensor_id]
-            else:
-                neighbor_ids = table.get(sensor.sensor_id, [])
-                neighbor_positions = [
-                    world.sensor(n).position for n in neighbor_ids
-                ]
-                direction = self._forces.direction(
-                    sensor.position, neighbor_positions, world.field
-                )
+        for sensor in [s for s in world.sensors if s.is_connected()]:
+            neighbor_positions = [
+                world.sensor(n).position
+                for n in table.get(sensor.sensor_id, [])
+            ]
+            direction = self._forces.direction(
+                sensor.position, neighbor_positions, world.field
+            )
             if direction.x == 0.0 and direction.y == 0.0:
                 sensor.previous_position = sensor.position
                 continue
 
-            if directions is not None:
-                # Fused fast path: read the live parent/child positions as
-                # plain floats and run the candidate ladder on them.
-                links = self._tree_link_positions(world, sensor)
-                # Each required link costs one state-exchange message
-                # before the step-size decision (Section 4.2).
-                if links:
-                    world.routing.record_one_hop(
-                        MessageType.NEIGHBOR_STATE, len(links)
-                    )
-                step = max_valid_step_points(
-                    sensor.position.x,
-                    sensor.position.y,
-                    direction.x,
-                    direction.y,
-                    config.max_step,
-                    links,
-                    config.communication_range,
+            required = self._required_neighbors(world, sensor)
+            # Each required link costs one state-exchange message before
+            # the step-size decision (Section 4.2).
+            if required:
+                world.routing.record_one_hop(
+                    MessageType.NEIGHBOR_STATE, len(required)
                 )
-            else:
-                required = self._required_neighbors(world, sensor)
-                if required:
-                    world.routing.record_one_hop(
-                        MessageType.NEIGHBOR_STATE, len(required)
-                    )
-                step = max_valid_step(
-                    sensor.position,
-                    direction,
-                    config.max_step,
-                    required,
-                    config.communication_range,
-                )
+            step = max_valid_step(
+                sensor.position,
+                direction,
+                config.max_step,
+                required,
+                config.communication_range,
+            )
 
             if step <= 0.0 and self._allow_parent_change:
                 step = self._try_parent_change(world, sensor, direction, table)
@@ -511,8 +426,8 @@ class CPVFScheme(DeploymentScheme):
         positions, mirroring the serialized lock-based parent-change
         handshake of the paper.  Message accounting is structural — one
         NEIGHBOR_STATE transmission per preserved link of every sensor
-        with a non-zero force — and therefore identical to the scalar
-        modes on the same tree.
+        with a non-zero force — and therefore identical to the
+        sequential mode on the same tree.
         """
         assert self._forces is not None and self._avoidance is not None
         config = world.config
@@ -521,30 +436,51 @@ class CPVFScheme(DeploymentScheme):
         n = len(sensors)
         if n == 0:
             return
-        starts = [s.position for s in sensors]
-        xs = np.fromiter((p.x for p in starts), float, n)
-        ys = np.fromiter((p.y for p in starts), float, n)
-        connected = np.fromiter((s.is_connected() for s in sensors), bool, n)
-        if not connected.any():
-            return
-        # One inflated pair set serves both the force evaluation (masked
-        # to the exact range) and the repair pass's candidate rows: a
-        # sensor within range at any point of the period was within
-        # rc + 2 * max_step at the period start.
-        rc_list = [s.communication_range for s in sensors]
-        rc_min, rc_max = min(rc_list), max(rc_list)
-        pair_extra = 2.0 * config.max_step
         tel = world.telemetry
-        # Incremental pair maintenance reports under its own span so the
-        # bench breakdown separates "answered from the maintained store"
-        # (cpvf.pairs_incremental) from a from-scratch pair generation
-        # (cpvf.pairs); see docs/performance.md.
-        span_name = "cpvf.pairs"
-        if (
-            tel.enabled
-            and world.pairs_maintenance_hint(pair_extra) == "incremental"
-        ):
-            span_name = "cpvf.pairs_incremental"
+        threshold = self._avoidance.threshold()
+        two_step = (
+            threshold > 0.0
+            and self._avoidance.mode is OscillationMode.TWO_STEP
+        )
+        with tel.span("cpvf.pack"):
+            starts = [s.position for s in sensors]
+            xs = np.fromiter((p.x for p in starts), float, n)
+            ys = np.fromiter((p.y for p in starts), float, n)
+            connected = np.fromiter(
+                (s.is_connected() for s in sensors), bool, n
+            )
+            if not connected.any():
+                return
+            rc_list = [s.communication_range for s in sensors]
+            rc_min, rc_max = min(rc_list), max(rc_list)
+            prev_x = prev_y = None
+            if two_step:
+                # NaN marks "no history yet": every comparison against it
+                # is False, exactly like the scalar None check.
+                prev = [s.previous_position for s in sensors]
+                prev_x = np.fromiter(
+                    (math.nan if p is None else p.x for p in prev), float, n
+                )
+                prev_y = np.fromiter(
+                    (math.nan if p is None else p.y for p in prev), float, n
+                )
+            # One inflated pair set serves both the force evaluation
+            # (masked to the exact range) and the repair pass's candidate
+            # rows: a sensor within range at any point of the period was
+            # within rc + 2 * max_step at the period start.
+            pair_extra = 2.0 * config.max_step
+            # Incremental pair maintenance reports under its own span so
+            # the bench breakdown separates "answered from the maintained
+            # store" (cpvf.pairs_incremental) from a from-scratch pair
+            # generation (cpvf.pairs); see docs/performance.md.  The
+            # prediction refreshes the spatial index, which the pair
+            # request then reuses.
+            span_name = "cpvf.pairs"
+            if (
+                tel.enabled
+                and world.pairs_maintenance_hint(pair_extra) == "incremental"
+            ):
+                span_name = "cpvf.pairs_incremental"
         with tel.span(span_name):
             rows, cols, d2 = world.neighbor_pairs(pair_extra, with_d2=True)
         if tel.enabled:
@@ -565,41 +501,15 @@ class CPVFScheme(DeploymentScheme):
                 world, xs, ys, connected, rows, cols, in_range,
                 symmetric=rc_min == rc_max,
             )
-        schedule = self._get_schedule(world)
+        with tel.span("cpvf.schedule"):
+            schedule = self._get_schedule(world)
+            # Connected sensors outside the colored tree (detached
+            # subtrees) fall back to the full scalar treatment in the
+            # repair pass.
+            stray = moving & (schedule.colors < 0)
+            repair: List[int] = np.flatnonzero(stray).tolist()
         colors = schedule.colors
-        # Connected sensors outside the colored tree (detached subtrees)
-        # fall back to the full scalar treatment in the repair pass.
-        stray = moving & (colors < 0)
-        repair: List[int] = np.flatnonzero(stray).tolist()
         max_step = config.max_step
-        threshold = self._avoidance.threshold()
-        prev_x = prev_y = None
-        if (
-            threshold > 0.0
-            and self._avoidance.mode is OscillationMode.TWO_STEP
-        ):
-            # NaN marks "no history yet": every comparison against it is
-            # False, exactly like the scalar None check.
-            prev_x = np.fromiter(
-                (
-                    s.previous_position.x
-                    if s.previous_position is not None
-                    else math.nan
-                    for s in sensors
-                ),
-                float,
-                n,
-            )
-            prev_y = np.fromiter(
-                (
-                    s.previous_position.y
-                    if s.previous_position is not None
-                    else math.nan
-                    for s in sensors
-                ),
-                float,
-                n,
-            )
         base = world.base_station
         batch_span = tel.span("cpvf.batch")
         batch_span.__enter__()
@@ -673,15 +583,15 @@ class CPVFScheme(DeploymentScheme):
             # its link positions must see this class's committed moves.
             xs[midx] = end_x
             ys[midx] = end_y
-        batch_span.__exit__(None, None, None)
         # Oscillation history: every connected sensor's previous position
-        # becomes its start-of-period position (the scalar modes do the
-        # same, branch by branch); repair sensors keep their history until
-        # their own scalar pass below reads it.
+        # becomes its start-of-period position (the sequential mode does
+        # the same, branch by branch); repair sensors keep their history
+        # until their own pass below reads it.
         repair_set = set(repair)
         for i in np.flatnonzero(connected).tolist():
             if i not in repair_set:
                 sensors[i].previous_position = starts[i]
+        batch_span.__exit__(None, None, None)
         if not repair:
             return
         # The inflated pair rows double as the repair pass's candidate
@@ -892,47 +802,39 @@ class CPVFScheme(DeploymentScheme):
         ys,
         connected,
     ) -> float:
-        """Array-filtered parent change for the batched repair pass.
+        """Attempt a parent change for the batched repair pass.
 
-        Makes the same decision as :meth:`_try_parent_change` — same
-        candidate order (base station first, then ascending ids), same
-        fraction-outer scan — but enumerates candidates from the period's
-        inflated pair structure and filters them against the live
-        coordinate arrays instead of walking a neighbour table row in
-        Python.  The inflation covers the most any sensor moves within
-        the period, and the live distance filter below discards the
-        extras, so the surviving candidate set matches a freshly built
-        table.
+        Makes the same (step, parent) choice as the sequential
+        :meth:`_best_parent_ladder`, scanned fraction-outer: the shared
+        child constraints are checked once per candidate step size and
+        the scan stops at the first (largest) step some candidate admits,
+        taking the first such candidate in order (base station first,
+        then ascending ids).  Candidates come from the period's inflated
+        pair rows, filtered against the live coordinate arrays; the
+        inflation covers the most any sensor moves within the period, so
+        the surviving candidates match a freshly built neighbour table.
+        The handful of candidates per sensor is scanned as plain floats.
         """
         config = world.config
         sid = sensor.sensor_id
-        position = sensor.position
-        px, py = position.x, position.y
+        px, py = sensor.position.x, sensor.position.y
         limit = config.communication_range + 1e-9
         csr_cols, csr_offsets = candidate_csr
-        cand = csr_cols[csr_offsets[sid]:csr_offsets[sid + 1]]
-        cand = cand[connected[cand]]
-        if cand.size:
-            live = np.hypot(xs[cand] - px, ys[cand] - py) <= limit
-            cand = cand[live]
-        subtree = None
-        if cand.size:
-            subtree = world.tree.subtree_of(sid)
-            if len(subtree) > 1:
-                cand = np.asarray(
-                    [c for c in cand.tolist() if c not in subtree],
-                    dtype=np.intp,
-                )
+        subtree = world.tree.subtree_of(sid)
+        candidates = []
+        for c in csr_cols[csr_offsets[sid]:csr_offsets[sid + 1]].tolist():
+            if not connected[c] or c in subtree:
+                continue
+            cx, cy = xs.item(c), ys.item(c)
+            if math.hypot(cx - px, cy - py) <= limit:
+                candidates.append((c, cx, cy))
         base = world.base_station
         base_ok = (
             math.hypot(px - base.x, py - base.y)
             <= config.communication_range
         )
-        if cand.size == 0 and not base_ok:
+        if not candidates and not base_ok:
             return 0.0
-
-        if subtree is None:
-            subtree = world.tree.subtree_of(sid)
         if not self._acquire_subtree_lock(world, sid, len(subtree)):
             return 0.0
 
@@ -941,37 +843,38 @@ class CPVFScheme(DeploymentScheme):
             return 0.0
         unit_x, unit_y = direction.x / norm, direction.y / norm
         _, children = self._link_node_ids(world, sid)
-        child_idx = np.asarray(children, dtype=np.intp)
-        child_x, child_y = xs[child_idx], ys[child_idx]
+        children_xy = [(xs.item(c), ys.item(c)) for c in children]
         # A required link that is already out of range invalidates every
         # candidate step, whatever the new parent.
-        if np.any(np.hypot(px - child_x, py - child_y) > limit):
-            return 0.0
-        cand_x, cand_y = xs[cand], ys[cand]
+        for cx, cy in children_xy:
+            if math.hypot(px - cx, py - cy) > limit:
+                return 0.0
         for fraction in STEP_FRACTIONS:
             step = fraction * config.max_step
             if step <= 0.0:
                 return 0.0
             qx, qy = px + unit_x * step, py + unit_y * step
-            if np.any(np.hypot(qx - child_x, qy - child_y) > limit):
+            if any(
+                math.hypot(qx - cx, qy - cy) > limit for cx, cy in children_xy
+            ):
                 continue
             if base_ok and math.hypot(qx - base.x, qy - base.y) <= limit:
                 world.reparent_in_tree(sid, BASE_STATION_ID)
                 world.telemetry.count("cpvf.parent_changes", 1)
                 return step
-            ok = np.flatnonzero(np.hypot(qx - cand_x, qy - cand_y) <= limit)
-            if ok.size:
-                world.reparent_in_tree(sid, int(cand[ok[0]]))
-                world.telemetry.count("cpvf.parent_changes", 1)
-                return step
+            for candidate, cx, cy in candidates:
+                if math.hypot(qx - cx, qy - cy) <= limit:
+                    world.reparent_in_tree(sid, candidate)
+                    world.telemetry.count("cpvf.parent_changes", 1)
+                    return step
         return 0.0
 
     def _finish_move(
         self, world: World, sensor: Sensor, direction: Vec2, step: float
     ) -> None:
         """Clip a validated step to free space, apply oscillation
-        avoidance, and commit the move (the shared per-sensor tail of all
-        three execution modes)."""
+        avoidance, and commit the move (the per-sensor tail shared by the
+        sequential stage and the batched parent-change repairs)."""
         assert self._avoidance is not None
         # A sensor that found a way to move no longer needs the lock grant
         # it was waiting for; drop it so a later block starts a fresh
@@ -1018,24 +921,6 @@ class CPVFScheme(DeploymentScheme):
             )
             self._link_ids[sensor_id] = cached
         return cached
-
-    def _tree_link_positions(
-        self, world: World, sensor: Sensor
-    ) -> List[tuple]:
-        """Live ``(x, y)`` positions of the links the sensor must preserve."""
-        parent, children = self._link_node_ids(world, sensor.sensor_id)
-        links: List[tuple] = []
-        if parent is not None:
-            pos = (
-                world.base_station
-                if parent == BASE_STATION_ID
-                else world.sensor(parent).position
-            )
-            links.append((pos.x, pos.y))
-        for child in children:
-            pos = world.sensor(child).position
-            links.append((pos.x, pos.y))
-        return links
 
     def _required_neighbors(
         self, world: World, sensor: Sensor
@@ -1152,56 +1037,7 @@ class CPVFScheme(DeploymentScheme):
         ):
             return 0.0
 
-        if not self._vectorized:
-            return self._best_parent_ladder(world, sensor, direction, candidates)
-
-        # Equivalent to taking max_valid_step() per candidate and keeping
-        # the first candidate attaining the best step, but scanned fraction-
-        # outer so the shared child constraints are checked once per
-        # candidate step size and the scan stops at the first (largest)
-        # step some candidate admits.
-        position = sensor.position
-        norm = math.hypot(direction.x, direction.y)
-        if norm <= EPS or config.max_step <= 0.0:
-            return 0.0
-        unit_x, unit_y = direction.x / norm, direction.y / norm
-        px, py = position.x, position.y
-        limit = config.communication_range + 1e-9
-        children_xy = [
-            (world.sensor(c).position.x, world.sensor(c).position.y)
-            for c in world.tree.children_of(sensor.sensor_id)
-        ]
-        # A required link that is already out of range invalidates every
-        # candidate step, whatever the new parent.
-        for cx, cy in children_xy:
-            if math.hypot(px - cx, py - cy) > limit:
-                return 0.0
-        candidate_xy = []
-        for candidate in candidates:
-            parent_pos = (
-                world.base_station
-                if candidate == BASE_STATION_ID
-                else world.sensor(candidate).position
-            )
-            if math.hypot(px - parent_pos.x, py - parent_pos.y) <= limit:
-                candidate_xy.append((candidate, parent_pos.x, parent_pos.y))
-        if not candidate_xy:
-            return 0.0
-        for fraction in STEP_FRACTIONS:
-            step = fraction * config.max_step
-            if step <= 0.0:
-                return 0.0
-            qx, qy = px + unit_x * step, py + unit_y * step
-            if any(
-                math.hypot(qx - cx, qy - cy) > limit for cx, cy in children_xy
-            ):
-                continue
-            for candidate, cx, cy in candidate_xy:
-                if math.hypot(qx - cx, qy - cy) <= limit:
-                    world.reparent_in_tree(sensor.sensor_id, candidate)
-                    world.telemetry.count("cpvf.parent_changes", 1)
-                    return step
-        return 0.0
+        return self._best_parent_ladder(world, sensor, direction, candidates)
 
     def _best_parent_ladder(
         self,
@@ -1212,8 +1048,9 @@ class CPVFScheme(DeploymentScheme):
     ) -> float:
         """Seed-faithful candidate scan: one full step ladder per candidate.
 
-        Kept as the reference/baseline path (``mode="sequential"``); the
-        fraction-outer scan above returns the same (step, parent) choice.
+        The reference path of ``mode="sequential"``; the batched
+        :meth:`_try_parent_change_batched` returns the same (step, parent)
+        choice.
         """
         config = world.config
         children_motions = [

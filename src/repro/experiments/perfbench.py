@@ -200,7 +200,8 @@ def _timed_periods(
     """Mean seconds per CPVF period for one execution configuration.
 
     ``fast=False`` is the seed configuration: the sequential scheme with
-    the paper's reference ladder.  ``fast_infra`` controls the world's
+    the paper's reference ladder; ``fast=True`` runs the default batched
+    mode.  ``fast_infra`` controls the world's
     neighbour/coverage infrastructure independently — the large-``n``
     scale rows keep it on even for the seed *algorithm*, because the
     seed's dense n x n matrices would not fit in memory at n = 10^4.
@@ -213,7 +214,7 @@ def _timed_periods(
         fast_infra = fast
     world = _make_perf_world(n, seed, clustered=True, fast=fast_infra)
     if mode is None:
-        mode = "vectorized" if fast else "sequential"
+        mode = "batched" if fast else "sequential"
     scheme = CPVFScheme(mode=mode)
     original_ladder = _cpvf_module.max_valid_step
     if not fast:
@@ -235,7 +236,7 @@ def _timed_periods(
 def measure_cpvf_period(
     n: int, seed: int = 3, periods: int = 6
 ) -> Dict[str, float]:
-    """Seed vs fast cost of one full CPVF decision period."""
+    """Seed vs batched cost of one full CPVF decision period."""
     seed_s = _timed_periods(n, seed, fast=False, periods=periods)
     fast_s = _timed_periods(n, seed, fast=True, periods=periods)
     return {
@@ -249,19 +250,14 @@ def measure_cpvf_period(
 def measure_cpvf_period_scale(
     n: int, seed: int = 3, periods: int = None, seed_periods: int = None
 ) -> Dict[str, float]:
-    """Three-mode CPVF period cost at scale: seed vs vectorized vs batched.
+    """CPVF period cost at scale: seed vs batched, with a phase breakdown.
 
     The large-``n`` rows of ``BENCH_perf.json``.  ``seed_ms`` runs the
     seed algorithm (sequential decisions, reference ladder) but on the
     fast neighbour infrastructure — the seed's dense matrices would need
     gigabytes at n = 10^4 — so it *understates* the true seed cost;
-    ``fast_ms`` is the vectorized mode (the pre-batch fast path) and
-    ``batched_ms`` the colored-batch kernel.  ``speedup`` keeps the
-    bench-wide convention (seed over the fastest path); the honest
-    batched-over-vectorized margin is ``speedup_vs_vectorized`` — about
-    2x at n >= 5000, because PR 1 already moved the dominant force
-    evaluation into numpy, and the protocol's parent-change churn is
-    sequential in every mode.
+    ``batched_ms`` is the colored-batch kernel and ``speedup`` is
+    seed over batched.
     """
     if periods is None:
         periods = 6 if n <= 2000 else 3
@@ -275,10 +271,7 @@ def measure_cpvf_period_scale(
         seed_s = _timed_periods(
             n, seed, fast=False, periods=seed_periods, fast_infra=True
         )
-    fast_s = _timed_periods(n, seed, fast=True, periods=periods)
-    batched_s = _timed_periods(
-        n, seed, fast=True, periods=periods, mode="batched"
-    )
+    batched_s = _timed_periods(n, seed, fast=True, periods=periods)
     # One more batched pass with telemetry on: the phase breakdown of a
     # period (ms per period per span) and the period-normalised kernel
     # counters.  Timed separately so the headline batched_ms stays the
@@ -286,9 +279,7 @@ def measure_cpvf_period_scale(
     from ..obs import Telemetry
 
     tel = Telemetry()
-    _timed_periods(
-        n, seed, fast=True, periods=periods, mode="batched", telemetry=tel
-    )
+    _timed_periods(n, seed, fast=True, periods=periods, telemetry=tel)
     summary = tel.summary()
     phases = {
         name: stat.seconds / periods * 1000.0
@@ -308,15 +299,11 @@ def measure_cpvf_period_scale(
     return {
         "n": n,
         "seed_ms": None if seed_s is None else seed_s * 1000.0,
-        "fast_ms": fast_s * 1000.0,
         "batched_ms": batched_s * 1000.0,
         "speedup": (
             None
             if seed_s is None
             else (seed_s / batched_s if batched_s > 0 else float("inf"))
-        ),
-        "speedup_vs_vectorized": (
-            fast_s / batched_s if batched_s > 0 else float("inf")
         ),
         "phases_ms": phases,
         "counters_per_period": counters_per_period,
@@ -955,12 +942,13 @@ def run_perf_suite(
         "description": (
             "Spatial-index + batched-CPVF benchmarks: seed algorithms vs "
             "fast paths; parity/convergence is asserted before or while "
-            "timing.  cpvf_period rows with a batched_ms column compare "
-            "all three CPVF execution modes (seed sequential ladder, "
-            "vectorized, colored-batch); their seed_ms runs the seed "
-            "algorithm on the fast neighbour infrastructure (the dense "
+            "timing.  cpvf_period fast_ms/batched_ms is the default "
+            "batched CPVF mode; rows with a batched_ms column run their "
+            "seed_ms on the fast neighbour infrastructure (the dense "
             "seed matrices would not fit in memory at n >= 5000) and so "
-            "understates the true seed cost."
+            "understate the true seed cost.  The n=100000 row predates "
+            "the removal of the vectorized mode: its fast_ms and "
+            "speedup_vs_vectorized columns time that mode."
         ),
         "field": "1000x1000 m, rc=60, rs=40, coverage resolution 10 m",
     }

@@ -146,9 +146,10 @@ def run_experiment_records(
 ) -> Tuple[List[RunRecord], str]:
     """Run one experiment; return its records and formatted report.
 
-    ``cpvf_mode`` selects the CPVF execution strategy (``sequential`` /
-    ``vectorized`` / ``batched``, see ``docs/performance.md``) for every
-    CPVF run in the sweep; other schemes are untouched.
+    ``cpvf_mode`` selects the CPVF execution strategy (``batched``, the
+    default, or the seed-exact ``sequential``; see
+    ``docs/performance.md``) for every CPVF run in the sweep; other
+    schemes are untouched.
 
     ``profile`` turns on telemetry for every run: each record carries a
     :class:`~repro.obs.TelemetrySummary` (phase times + counters), which
@@ -313,8 +314,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         choices=list(CPVF_MODES),
         default=None,
         help=(
-            "CPVF execution strategy for every CPVF run (see "
-            "docs/performance.md); default keeps the scheme's own default"
+            "CPVF execution strategy for every CPVF run: batched (the "
+            "scheme's default) or the seed-exact sequential reference "
+            "(see docs/performance.md)"
         ),
     )
     parser.add_argument(

@@ -9,9 +9,9 @@ records by that fingerprint on the filesystem:
 .. code-block:: text
 
     <root>/
-      v1/                    # one directory per SPEC_SCHEMA_VERSION
+      v2/                    # one directory per SPEC_SCHEMA_VERSION
         3f/                  # two-hex-char shard (first fingerprint byte)
-          3f9a...e1.json     # {"schema": 1, "fingerprint": ..., "record": ...}
+          3f9a...e1.json     # {"schema": 2, "fingerprint": ..., "record": ...}
 
 Writes are atomic (temp file in the final directory + ``os.replace``), so
 concurrent writers — sweep worker processes, several service event loops,

@@ -57,7 +57,7 @@ class TestFingerprintStability:
 
     def test_json_round_trip_preserves_fingerprint(self):
         spec = small_spec(
-            scheme_params={"mode": "vectorized"}, trace_every=5, tags={"rep": 1}
+            scheme_params={"mode": "sequential"}, trace_every=5, tags={"rep": 1}
         )
         reparsed = RunSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert reparsed.fingerprint() == spec.fingerprint()

@@ -50,13 +50,14 @@ class TestFingerprint:
         )
 
     def test_default_fingerprint_is_pinned(self):
-        """The structural-mode identity: this digest predates the network
-        backend, and attaching no (or a structural) spec must never move
-        it — a warm run store written before the backend existed keeps
-        serving these runs."""
+        """The structural-mode identity: attaching no (or a structural)
+        network spec must never move this digest, so a warm run store
+        written before the network backend existed keeps serving these
+        runs.  Re-pinned once, for spec schema 2 (the default CPVF mode
+        became batched); schema 1 gave 9acc53ff17501fb579d69ee069be0354f72b9b8e."""
         assert (
             small_spec().fingerprint()
-            == "9acc53ff17501fb579d69ee069be0354f72b9b8e"
+            == "151028ed21247f3a27520b7bde4233bb64a7597e"
         )
 
     def test_degraded_spec_moves_the_fingerprint(self):

@@ -280,10 +280,14 @@ class TestModeSelection:
             CPVFScheme(mode="warp")
 
     def test_modes(self):
-        assert CPVFScheme().mode == "vectorized"
+        assert CPVFScheme().mode == "batched"
         assert CPVFScheme(mode="sequential").mode == "sequential"
         assert CPVFScheme(mode="batched").mode == "batched"
-        assert set(CPVF_MODES) == {"sequential", "vectorized", "batched"}
+        assert CPVF_MODES == ("sequential", "batched")
+
+    def test_retired_vectorized_mode_raises(self):
+        with pytest.raises(ValueError, match="unknown CPVF mode"):
+            CPVFScheme(mode="vectorized")
 
     def test_mode_selectable_via_runspec(self):
         from repro.api import RunSpec, execute_run
@@ -394,13 +398,13 @@ class TestLinkIdCache:
     def test_cache_tracks_reparents(self):
         config = make_config(SMOKE_SCALE, seed=5)
         world = make_world(config, SMOKE_SCALE)
-        scheme = CPVFScheme(mode="vectorized")
+        scheme = CPVFScheme()
         scheme.initialize(world)
         members = world.tree.members()
         sid = members[0]
         # Prime the cache.
-        before = scheme._tree_link_positions(world, world.sensor(sid))
-        assert len(before) >= 1
+        before_parent, _ = scheme._link_node_ids(world, sid)
+        assert before_parent == world.tree.parent_of(sid)
         new_parent = next(
             (
                 m
@@ -414,6 +418,6 @@ class TestLinkIdCache:
         if new_parent is None:
             pytest.skip("degenerate smoke tree")
         world.reparent_in_tree(sid, new_parent)
-        after = scheme._tree_link_positions(world, world.sensor(sid))
-        parent_pos = world.sensor(new_parent).position
-        assert (parent_pos.x, parent_pos.y) in after
+        after_parent, _ = scheme._link_node_ids(world, sid)
+        assert after_parent == new_parent
+        assert sid in scheme._link_node_ids(world, new_parent)[1]

@@ -89,3 +89,34 @@ class TestCPVFEndToEnd:
             if s.is_connected() or s.position.distance_to(world.base_station) < before[s.sensor_id] - 1e-6:
                 progressed += 1
         assert progressed >= len(moving) // 2
+
+
+class TestCoverageStageSpans:
+    def test_child_spans_cover_the_scheme_step(self):
+        """Every part of a default (batched) CPVF period runs under a
+        ``cpvf.*`` span: together they claim at least 95% of
+        ``engine.scheme_step`` (Fig 3(a) setting, 60 periods)."""
+        from repro.api import ScenarioSpec
+        from repro.obs import Telemetry
+
+        scenario = ScenarioSpec(seed=1, duration=60.0)
+        world = scenario.build_world(scenario.build_field())
+        result = SimulationEngine(
+            world, CPVFScheme(), trace_every=None, telemetry=Telemetry()
+        ).run()
+        phases = result.telemetry.phases
+        for name in (
+            "cpvf.connect",
+            "cpvf.pack",
+            "cpvf.forces",
+            "cpvf.schedule",
+            "cpvf.batch",
+            "cpvf.repair_groups",
+        ):
+            assert name in phases, name
+        children = sum(
+            stat.seconds
+            for name, stat in phases.items()
+            if name.startswith("cpvf.")
+        )
+        assert children >= 0.95 * phases["engine.scheme_step"].seconds

@@ -3,15 +3,16 @@
 ``max_valid_step`` (float core), ``max_valid_step_points``
 (stationary-links variant) and the seed-faithful
 ``max_valid_step_reference`` all claim to return the same ladder
-decision; the vectorized ``_try_parent_change`` scan claims to pick the
-same (step, parent) as the seed per-candidate ladder.  These tests pin
-those equivalences with randomized trials so an edit to one copy cannot
-silently diverge from the others.
+decision; the batched repair pass's fraction-outer parent-change scan
+claims to pick the same (step, parent) as the seed per-candidate
+ladder.  These tests pin those equivalences with randomized trials so
+an edit to one copy cannot silently diverge from the others.
 """
 
 import copy
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.connectivity import (
@@ -79,7 +80,9 @@ class TestLadderParity:
 class TestParentChangeParity:
     @pytest.mark.parametrize("trial", range(12))
     def test_fraction_outer_scan_matches_seed_ladder(self, trial):
-        """Both parent-change paths pick the same (step, parent)."""
+        """The batched scan and the sequential ladder pick the same
+        (step, parent).  The batched candidates come from the inflated
+        pair rows the batched period builds, filtered live."""
         rng = random.Random(100 + trial)
         n = 14
         config = SimulationConfig(
@@ -97,6 +100,12 @@ class TestParentChangeParity:
         scheme = CPVFScheme()
         scheme.initialize(world)
         table = world.neighbor_table()
+        rows, cols = world.neighbor_pairs(2.0 * config.max_step)
+        offsets = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(rows, minlength=n), out=offsets[1:])
+        xs = np.array([s.position.x for s in world.sensors])
+        ys = np.array([s.position.y for s in world.sensors])
+        connected = np.array([s.is_connected() for s in world.sensors])
         moved = False
         for sensor in world.sensors:
             if not sensor.is_connected():
@@ -106,10 +115,11 @@ class TestParentChangeParity:
                 continue
             fast_world = copy.deepcopy(world)
             seed_world = copy.deepcopy(world)
-            fast_scheme = CPVFScheme(mode="vectorized")
+            fast_scheme = CPVFScheme(mode="batched")
             seed_scheme = CPVFScheme(mode="sequential")
-            fast_step = fast_scheme._try_parent_change(
-                fast_world, fast_world.sensor(sensor.sensor_id), direction, table
+            fast_step = fast_scheme._try_parent_change_batched(
+                fast_world, fast_world.sensor(sensor.sensor_id), direction,
+                (cols, offsets), xs, ys, connected,
             )
             seed_step = seed_scheme._try_parent_change(
                 seed_world, seed_world.sensor(sensor.sensor_id), direction, table

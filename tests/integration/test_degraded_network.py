@@ -30,12 +30,14 @@ class TestStructuralIdentity:
 
     If either value moves, a default-path run changed — the pluggable
     backend leaked into structural mode.  Regenerate only for a change
-    that deliberately alters the paper reproduction itself.
+    that deliberately alters the paper reproduction itself.  The CPVF
+    row was re-pinned once, when the default CPVF mode became batched
+    (it was 0.81 and 7136 under the retired vectorized default).
     """
 
     @pytest.mark.parametrize(
         "scheme,coverage,total_messages",
-        [("CPVF", 0.81, 7136), ("FLOOR", 0.49, 4807)],
+        [("CPVF", 0.83, 4799), ("FLOOR", 0.49, 4807)],
     )
     def test_pinned_snapshot(self, scheme, coverage, total_messages):
         scenario = make_scenario(SMOKE_SCALE, seed=1)

@@ -44,7 +44,7 @@ from repro.core import (
 )
 from repro.core.connectivity import max_valid_step_points
 from repro.geometry import Circle, Segment, Vec2, circle_circle_intersections
-from repro.network import MessageType
+from repro.network import BASE_STATION_ID, MessageType
 from repro.network.radio import LINK_EPS
 from repro.sim import World
 from repro.spatial.cache import pairs_from_table
@@ -428,7 +428,15 @@ class SerialRepairCPVF(CPVFScheme):
         bypassed the batch entirely.
         """
         config = world.config
-        links = self._tree_link_positions(world, sensor)
+        parent, children = self._link_node_ids(world, sensor.sensor_id)
+        nodes = ([] if parent is None else [parent]) + list(children)
+        positions = [
+            world.base_station
+            if node == BASE_STATION_ID
+            else world.sensor(node).position
+            for node in nodes
+        ]
+        links = [(pos.x, pos.y) for pos in positions]
         if record_messages and links:
             world.routing.record_one_hop(
                 MessageType.NEIGHBOR_STATE, len(links)

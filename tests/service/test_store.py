@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.api import RunSpec, ScenarioSpec, execute_run
+from repro.api import RunSpec, ScenarioSpec, execute_run, run_fingerprint
 from repro.service import GCReport, RunStore, StoreStats
 
 
@@ -80,6 +80,29 @@ class TestMisses:
         # The atomic put repairs the entry in place.
         store.put(record)
         assert store.get(record.spec) == record
+
+    def test_schema_one_record_misses_after_the_bump(
+        self, tmp_path, record, monkeypatch
+    ):
+        """Schema 1 records were computed under the old default CPVF mode.
+
+        A default-mode spec has the same content under both schemas (the
+        default ``mode`` is not part of it), so a warm store must not
+        serve a record written by a schema-1 program."""
+        import repro.api.specs as specs_module
+
+        with monkeypatch.context() as patched:
+            patched.setattr(specs_module, "SPEC_SCHEMA_VERSION", 1)
+            old_fp = RunStore(tmp_path, schema_version=1).put(
+                record, fingerprint=run_fingerprint(record.spec)
+            )
+        store = RunStore(tmp_path)
+        assert store.schema_version == 2
+        assert old_fp != record.spec.fingerprint()
+        assert record.spec not in store
+        assert store.get(record.spec) is None
+        assert store.load(old_fp) is None
+        assert len(store) == 0
 
     def test_other_schema_version_is_unreachable(self, tmp_path, record):
         RunStore(tmp_path, schema_version=0).put(record)
